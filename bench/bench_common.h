@@ -334,13 +334,19 @@ inline int RunBenchmarks(int* argc, char** argv) {
 
   benchmark::Initialize(argc, argv);
   if (benchmark::ReportUnrecognizedArguments(*argc, argv)) return 1;
+  size_t ran = 0;
   if (json_path.empty()) {
-    benchmark::RunSpecifiedBenchmarks();
+    ran = benchmark::RunSpecifiedBenchmarks();
   } else {
     JsonRecordReporter reporter(std::move(json_path));
-    benchmark::RunSpecifiedBenchmarks(&reporter);
+    ran = benchmark::RunSpecifiedBenchmarks(&reporter);
   }
   benchmark::Shutdown();
+  if (ran == 0) {
+    // A filter that matches nothing (a renamed axis) must not pass silently.
+    std::fprintf(stderr, "no benchmark matched the filter\n");
+    return 1;
+  }
 
   if (sink != nullptr) {
     telemetry::SetTraceSink(nullptr);

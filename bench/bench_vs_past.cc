@@ -87,24 +87,33 @@ void BM_LazyMonitor_PerUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyMonitor_PerUpdate)->Arg(2)->Arg(4)->Arg(8);
 
-// Eager verdicts without history storage (stand-in renaming catch-up).
+// Eager verdicts without history storage: the progression backend with
+// Compact() after every update (z-pattern catch-up for fresh elements). The
+// timed step is the update plus its compaction.
 void BM_HistoryLessMonitor_PerUpdate(benchmark::State& state) {
   auto& fx = Fixture();
   size_t n = static_cast<size_t>(state.range(0));
   static fotl::Formula policy = *fotl::Parse(
       fx.factory.get(), "forall x . G (Sub(x) -> X Fill(x))");
-  auto monitor = *checker::Monitor::Create(fx.factory, policy, {}, {},
-                                           checker::MonitorMode::kEagerHistoryLess);
+  checker::CheckOptions options;
+  options.backend = checker::MonitorBackend::kProgression;
+  auto monitor = *checker::Monitor::Create(fx.factory, policy, {}, options);
   size_t t = 0;
+  auto step = [&]() -> Result<checker::MonitorVerdict> {
+    TIC_ASSIGN_OR_RETURN(checker::MonitorVerdict v,
+                         monitor->ApplyTransaction(StepTxn(fx, t++, n)));
+    TIC_RETURN_NOT_OK(monitor->Compact());
+    return v;
+  };
   for (size_t i = 0; i < n; ++i) {
-    auto v = monitor->ApplyTransaction(StepTxn(fx, t++, n));
+    auto v = step();
     if (!v.ok()) {
       state.SkipWithError(v.status().ToString().c_str());
       return;
     }
   }
   for (auto _ : state) {
-    auto v = monitor->ApplyTransaction(StepTxn(fx, t++, n));
+    auto v = step();
     if (!v.ok()) {
       state.SkipWithError(v.status().ToString().c_str());
       return;
@@ -112,6 +121,8 @@ void BM_HistoryLessMonitor_PerUpdate(benchmark::State& state) {
     benchmark::DoNotOptimize(v->potentially_satisfied);
   }
   state.counters["orders"] = static_cast<double>(n);
+  state.counters["history_states"] =
+      static_cast<double>(monitor->history().length());
 }
 BENCHMARK(BM_HistoryLessMonitor_PerUpdate)->Arg(2)->Arg(4)->Arg(8);
 

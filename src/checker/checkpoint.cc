@@ -17,7 +17,8 @@ namespace {
 
 namespace snap = tic::snapshot;
 
-// option_flags bit layout inside the kSecMeta prefix (kStateVersion 1).
+// option_flags bit layout inside the kSecMeta prefix (unchanged since
+// kStateVersion 1).
 constexpr uint32_t kFlagRequireSafety = 1u << 0;
 constexpr uint32_t kFlagRouter = 1u << 1;
 constexpr uint32_t kFlagRouterForcePast = 1u << 2;
@@ -482,7 +483,9 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
     }
   }
 
-  // One shared node pool over instance residuals and compaction patterns.
+  // One shared node pool over instance bases and compaction patterns. The
+  // progression backend's running residuals are not stored: the restored
+  // monitor derives them from basis plus word on its next update.
   FormulaPoolWriter pool;
   std::vector<uint32_t> instance_roots;
   instance_roots.reserve(m.instances_.size());
@@ -577,7 +580,7 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
   if (meta.backend > static_cast<uint8_t>(MonitorBackend::kPastStateless)) {
     return Status::ParseError("snapshot: unknown backend byte");
   }
-  if (meta.mode > static_cast<uint8_t>(MonitorMode::kEagerHistoryLess)) {
+  if (meta.mode > static_cast<uint8_t>(MonitorMode::kLazy)) {
     return Status::ParseError("snapshot: unknown mode byte");
   }
   if ((meta.option_flags & ~kKnownOptionFlags) != 0) {
@@ -802,7 +805,8 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
       DecodeFormulaPool(&fr, m->prop_factory_.get(), m->prop_vocab_->size()));
   TIC_RETURN_NOT_OK(fr.ExpectEnd());
 
-  // INSTANCES: replace the creation-time enumeration wholesale.
+  // INSTANCES: replace the creation-time enumeration wholesale. Each carries
+  // its basis, the formula at the last checkpoint, in every backend.
   TIC_ASSIGN_OR_RETURN(std::string_view inst_bytes,
                        reader.Require(snap::kSecInstances));
   snap::ByteReader ir(inst_bytes);
@@ -812,7 +816,9 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
         "snapshot: instance count disagrees with the meta section");
   }
   m->instances_.clear();
-  m->instance_index_.Clear();
+  flat::FlatSet<std::vector<GroundElem>, flat::Remixed<Monitor::AssignmentHash>,
+                Monitor::AssignmentEq>
+      seen;
   const size_t k = m->external_.size();
   for (uint64_t i = 0; i < ninstances; ++i) {
     TIC_ASSIGN_OR_RETURN(std::vector<GroundElem> assignment,
@@ -821,10 +827,7 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
     if (fidx >= pool.size()) {
       return Status::ParseError("snapshot: instance residual index out of range");
     }
-    auto [entry, inserted] =
-        m->instance_index_.Emplace(assignment, m->instances_.size());
-    (void)entry;
-    if (!inserted) {
+    if (!seen.Insert(assignment)) {
       return Status::ParseError("snapshot: duplicate grounding instance");
     }
     m->instances_.push_back(

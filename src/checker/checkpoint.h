@@ -36,16 +36,17 @@ struct RestoreOptions {
 ///
 /// What round-trips: the constraint, vocabulary and constant interpretation;
 /// the physical history (alias runs preserved); every minted propositional
-/// letter in mint order; the per-instance residuals (hash-consed node pool);
-/// the RLE word; the relevant set; the compaction checkpoint (basis +
-/// z-patterns) and time base; the semantic fields of the last verdict; the
-/// renaming-invariant verdict-cache entries; and, on the past route, the
-/// complete auxiliary-cell image of the past evaluator.
+/// letter in mint order; the per-instance checkpoint formulas (hash-consed
+/// node pool); the RLE word; the relevant set; the compaction checkpoint
+/// (basis + z-patterns) and time base; the semantic fields of the last
+/// verdict; the renaming-invariant verdict-cache entries; and, on the past
+/// route, the complete auxiliary-cell image of the past evaluator.
 ///
 /// What intentionally does NOT round-trip: derived machinery (cohorts, the
-/// joint residual graph, point-algebra watch lists, progression classes) is
-/// rebuilt lazily on the first post-restore update from the restored
-/// residuals — it is memoization, never semantic state — and lifetime
+/// joint residual graph, point-algebra watch lists, the progression
+/// backend's running residuals and their classes) is rebuilt lazily on the
+/// first post-restore update from the restored checkpoint formulas and word
+/// — it is memoization, never semantic state — and lifetime
 /// statistics (tableau/automaton/cohort counters, provenance diagnoses)
 /// restart at zero.
 ///
@@ -55,8 +56,11 @@ struct RestoreOptions {
 class MonitorCheckpoint {
  public:
   /// Payload codec version inside kSecMeta (bumped when any section payload
-  /// changes shape; the container version covers only the envelope).
-  static constexpr uint32_t kStateVersion = 1;
+  /// changes shape or meaning; the container version covers only the
+  /// envelope). Version 2: instance formulas are checkpoint bases in every
+  /// backend (version 1 stored progression-backend residuals at "now"), and
+  /// mode byte 2 (a retired history-less mode) is invalid.
+  static constexpr uint32_t kStateVersion = 2;
 
   static Result<std::string> Serialize(const Monitor& monitor);
 

@@ -43,10 +43,10 @@ enum class MonitorBackend {
   ///    under a clamped budget and falls back to progression when the cover
   ///    blows up (multi-instance groundings).
   /// Verdict-equivalent to kProgression. Effective for MonitorMode::kEager
-  /// and for batch checks with `want_witness == false`; other monitor modes
+  /// and for batch checks with `want_witness == false`; MonitorMode::kLazy
   /// and witness-producing checks fall back to kProgression (kLazy's weak
-  /// verdicts and the history-less renaming are progression-specific, and
-  /// witness decoding needs the residual formula).
+  /// verdicts are progression-specific, and witness decoding needs the
+  /// residual formula).
   kAutomaton,
   /// The tableau-free past evaluator (past::PastMonitor), selected by the
   /// fragment router for closed `G A` constraints with A a past formula and
@@ -57,28 +57,27 @@ enum class MonitorBackend {
   kPastStateless,
 };
 
-/// \brief How eagerly the monitor detects violations, and how it catches up
-/// instances for newly relevant elements. (Lives here rather than monitor.h
-/// so provenance replay helpers can name a mode without the full Monitor.)
+/// \brief How eagerly the monitor detects violations. (Lives here rather than
+/// monitor.h so provenance replay helpers can name a mode without the full
+/// Monitor.)
+///
+/// Either mode catches up the instances of a newly relevant element from
+/// their formula at the last checkpoint: the grounding, replayed through the
+/// stored word, or after Monitor::Compact() the z-pattern residual of the
+/// checkpoint (the element was indistinguishable from a stand-in over the
+/// folded past, Theorem 4.1). History-less monitoring — the Section 6 open
+/// question of a history-less method for universal formulas — is therefore
+/// kEager with Compact() after every update: the monitor keeps one database
+/// state and a one-letter word, independent of t.
 enum class MonitorMode {
   /// Exact potential satisfaction (Theorem 4.2): run the satisfiability check
   /// after every update, detecting violations at the earliest possible time.
-  /// New-element instances are caught up by replaying the stored history.
   kEager,
   /// The weaker notion implemented by Lipeck & Saake (Section 5): only the
   /// linear-time progression runs per update, so violations are always
   /// detected (the residual collapses to false) but possibly later than the
   /// earliest time. Cheap: no exponential phase per update.
   kLazy,
-  /// Eager verdicts WITHOUT storing the propositional history — an answer (in
-  /// this setting) to the Section 6 open question of a history-less method
-  /// for universal formulas. The z-stand-in atoms are kept as real letters
-  /// (never true in any state) instead of being folded to false; when an
-  /// element e becomes relevant, its instances' residuals are obtained from
-  /// the matching z-pattern instance by *renaming letters* (e was
-  /// indistinguishable from the stand-in over the entire past), so no replay
-  /// is needed. Per-update memory is O(residuals), independent of t.
-  kEagerHistoryLess,
 };
 
 /// \brief Options for the Theorem 4.2 decision procedure.

@@ -112,8 +112,8 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
     m->options_.tableau.verdict_cache = std::make_shared<ptl::VerdictCache>();
   }
   // Resolve the effective backend: the automaton run replaces exact eager
-  // monitoring only. kLazy's weak verdicts and the history-less letter
-  // renaming are progression-specific, so those modes keep kProgression.
+  // monitoring only. kLazy's weak verdicts are progression-specific, so that
+  // mode keeps kProgression.
   m->backend_ = m->options_.backend;
   if (mode != MonitorMode::kEager) m->backend_ = MonitorBackend::kProgression;
   // Cohort stepping compiles per-instance automata through the
@@ -247,7 +247,6 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
     std::vector<GroundElem> assignment(k);
     for (size_t i = 0; i < k; ++i) assignment[i] = domain[idx[i]];
     TIC_ASSIGN_OR_RETURN(ptl::Formula residual, m->GroundMatrix(assignment));
-    m->instance_index_.Emplace(assignment, m->instances_.size());
     m->instances_.push_back(Instance{std::move(assignment), residual});
     size_t d = 0;
     while (d < k && ++idx[d] == domain.size()) {
@@ -346,15 +345,10 @@ Result<ptl::Formula> Monitor::GroundMatrix(const std::vector<GroundElem>& assign
         has_folded_z = has_folded_z || (e.is_z() && e.z_index() < keep_z_from);
         codes.push_back(e.code);
       }
-      if (has_folded_z && mode_ != MonitorMode::kEagerHistoryLess) {
-        // Folded per Axiom_D (kSimplified grounding).
-        memo.emplace(fr.f, pf->False());
-      } else {
-        // History-less mode keeps stand-in letters unfolded: they are never
-        // true in any w state, and they are what fresh-element instances are
-        // renamed from.
-        memo.emplace(fr.f, pf->Atom(Letter(fr.f->predicate(), codes)));
-      }
+      // Folded per Axiom_D (kSimplified grounding).
+      memo.emplace(fr.f, has_folded_z
+                             ? pf->False()
+                             : pf->Atom(Letter(fr.f->predicate(), codes)));
       continue;
     }
     fotl::Formula c0 = fr.f->child(0);
@@ -432,62 +426,46 @@ Result<ptl::Formula> Monitor::ProgressThroughWord(ptl::Formula residual) {
   return residual;
 }
 
-Result<ptl::Formula> Monitor::GroundAndCatchUp(
-    const std::vector<GroundElem>& assignment) {
-  TIC_SPAN("monitor.catch_up");
-  // After a compaction the folded prefix can't be replayed; the checkpoint
-  // pattern residual takes GroundMatrix's place as the catch-up basis, and
-  // the stored word covers exactly the post-checkpoint suffix.
-  ptl::Formula base;
-  if (compacted_) {
-    TIC_ASSIGN_OR_RETURN(base, CompactBaseResidual(assignment));
-  } else {
-    TIC_ASSIGN_OR_RETURN(base, GroundMatrix(assignment));
-  }
-  return ProgressThroughWord(base);
-}
+Status Monitor::CreateFreshInstances(const std::vector<Value>& fresh) {
+  TIC_SPAN("monitor.fresh_instances");
+  std::vector<Value> merged;
+  std::merge(known_relevant_.begin(), known_relevant_.end(), fresh.begin(),
+             fresh.end(), std::back_inserter(merged));
+  const size_t k = external_.size();
+  if (k > 0) {
+    std::vector<GroundElem> domain;
+    for (Value v : merged) domain.push_back(GroundElem::Relevant(v));
+    for (size_t i = 0; i < k; ++i) domain.push_back(GroundElem::Z(i));
+    std::unordered_set<Value> fresh_set(fresh.begin(), fresh.end());
 
-Result<ptl::Formula> Monitor::RenameFromPattern(
-    const std::vector<GroundElem>& assignment) {
-  // Canonical pattern: each distinct fresh (just-became-relevant) element is
-  // replaced by a distinct stand-in index not otherwise used by the
-  // assignment. Over the whole past, the element was indistinguishable from
-  // that stand-in, so the pattern instance's residual — with the stand-in
-  // letters renamed — IS the fresh instance's residual. No history replay.
-  std::unordered_set<size_t> used_z;
-  for (const GroundElem& e : assignment) {
-    if (e.is_z()) used_z.insert(e.z_index());
-  }
-  std::unordered_map<Value, GroundElem> fresh_to_z;  // element -> stand-in
-  std::vector<GroundElem> pattern = assignment;
-  size_t next_z = 0;
-  for (GroundElem& e : pattern) {
-    if (e.is_z()) continue;
-    if (std::binary_search(known_relevant_.begin(), known_relevant_.end(),
-                           e.value())) {
-      continue;  // long-relevant element: stays
+    std::vector<size_t> idx(k, 0);
+    while (true) {
+      bool touches_fresh = false;
+      for (size_t i = 0; i < k; ++i) {
+        const GroundElem& e = domain[idx[i]];
+        if (!e.is_z() && fresh_set.count(e.value()) > 0) {
+          touches_fresh = true;
+          break;
+        }
+      }
+      if (touches_fresh) {
+        std::vector<GroundElem> assignment(k);
+        for (size_t i = 0; i < k; ++i) assignment[i] = domain[idx[i]];
+        TIC_ASSIGN_OR_RETURN(ptl::Formula basis,
+                             compacted_ ? CompactBaseResidual(assignment)
+                                        : GroundMatrix(assignment));
+        instances_.push_back(Instance{std::move(assignment), basis});
+      }
+      size_t d = 0;
+      while (d < k && ++idx[d] == domain.size()) {
+        idx[d] = 0;
+        ++d;
+      }
+      if (d == k) break;
     }
-    auto it = fresh_to_z.find(e.value());
-    if (it != fresh_to_z.end()) {
-      e = it->second;
-      continue;
-    }
-    while (used_z.count(next_z) > 0) ++next_z;
-    used_z.insert(next_z);
-    GroundElem z = GroundElem::Z(next_z);
-    fresh_to_z.emplace(e.value(), z);
-    e = z;
   }
-
-  const size_t* pattern_idx = instance_index_.Get(pattern);
-  if (pattern_idx == nullptr) {
-    return Status::Internal("history-less catch-up: pattern instance missing");
-  }
-  ptl::Formula pattern_residual = instances_[*pattern_idx].residual;
-
-  std::unordered_map<Value, Value> code_map;  // z code -> element value
-  for (const auto& [value, z] : fresh_to_z) code_map.emplace(z.code, value);
-  return RenameResidualCodes(pattern_residual, code_map);
+  known_relevant_ = std::move(merged);
+  return Status::OK();
 }
 
 ptl::Formula Monitor::RenameResidualCodes(
@@ -604,18 +582,6 @@ Result<ptl::Formula> Monitor::CompactBaseResidual(
     unknown_to_z.emplace(e.code, z);
     e = z;
   }
-  if (unknown_to_z.empty()) {
-    // Fully known at the fold: this is an existing instance, whose stored
-    // formula already sits at the checkpoint basis in automaton mode (Compact
-    // rebased it). Progression-mode residuals run ahead of the checkpoint,
-    // but this path only serves provenance replay there — verdicts never
-    // depend on it.
-    const size_t* idx = instance_index_.Get(pattern);
-    if (idx == nullptr) {
-      return Status::Internal("compaction catch-up: known instance missing");
-    }
-    return instances_[*idx].residual;
-  }
   const size_t* pattern_idx = compact_pattern_index_.Get(pattern);
   if (pattern_idx == nullptr) {
     return Status::Internal("compaction catch-up: pattern residual missing");
@@ -704,41 +670,31 @@ Status Monitor::Compact() {
   if (history_.length() <= 1) return Status::OK();  // nothing to fold
   const size_t folded = history_.length() - 1;
 
-  if (mode_ == MonitorMode::kEagerHistoryLess) {
-    // History-less monitoring already keeps no word and catches fresh
-    // elements up by stand-in renaming: folding is pure truncation.
-    TIC_RETURN_NOT_OK(history_.DropPrefix(folded));
-    time_base_ += folded;
-    TIC_COUNTER_ADD("monitor/compactions", 1);
-    return Status::OK();
-  }
-
   if (!dead_) {
-    // Order matters: patterns first (a second compaction reads the previous
-    // checkpoint's patterns through CompactBaseResidual), then the automaton
-    // originals, which the pattern build must still see un-rebased via
-    // instance_index_ fallbacks.
+    // Patterns first: a second compaction reads the previous checkpoint's
+    // patterns through CompactBaseResidual while building the new ones.
     TIC_RETURN_NOT_OK(BuildCompactPatterns());
-    if (backend_ == MonitorBackend::kAutomaton) {
-      // Automaton-mode instances store checkpoint-basis originals (never
-      // progressed): rebase them to "now" so the cleared word stays the
-      // whole replay domain. Memoized per distinct formula — symmetric
-      // instances rebase once.
-      std::unordered_map<ptl::Formula, ptl::Formula> memo;
-      for (Instance& inst : instances_) {
-        auto it = memo.find(inst.residual);
-        if (it == memo.end()) {
-          TIC_ASSIGN_OR_RETURN(ptl::Formula fin,
-                               ProgressThroughWord(inst.residual));
-          it = memo.emplace(inst.residual, fin).first;
-        }
-        inst.residual = it->second;
+    // Rebase every instance to its formula at the new checkpoint, so the
+    // cleared word stays the whole replay domain. A running residual already
+    // is that formula; the rest replay the word, memoized per distinct basis
+    // — symmetric instances rebase once.
+    std::unordered_map<ptl::Formula, ptl::Formula> memo;
+    for (size_t i = 0; i < instances_.size(); ++i) {
+      ptl::Formula& basis = instances_[i].residual;
+      if (i < running_residuals_.size()) {
+        basis = running_residuals_[i];
+        continue;
       }
+      auto it = memo.find(basis);
+      if (it == memo.end()) {
+        TIC_ASSIGN_OR_RETURN(ptl::Formula now, ProgressThroughWord(basis));
+        it = memo.emplace(basis, now).first;
+      }
+      basis = it->second;
     }
-    // Progression-mode residuals already sit at "now" — nothing to rebase.
   } else {
-    // A dead monitor reports permanently_violated forever without touching
-    // residuals: no patterns needed.
+    // A dead monitor's verdict never changes again: its instances are not
+    // rebased and no patterns are needed.
     compact_patterns_.clear();
     compact_pattern_index_.Clear();
   }
@@ -749,10 +705,10 @@ Status Monitor::Compact() {
   word_.clear();
 
   // Invalidate everything derived from pre-fold basis or word positions: the
-  // next update recompiles the joint epoch, rebuilds cohort placements and
-  // point-algebra routing from the rebased residuals, and repartitions the
-  // progression classes. cur_letter_ stays valid — it describes the current
-  // state, which survives the fold.
+  // next update recompiles the joint epoch and rebuilds cohort placements and
+  // point-algebra routing from the rebased instances. The running residuals
+  // and their classes describe "now" and stay valid, as does cur_letter_ —
+  // it describes the current state, which survives the fold.
   joint_ = nullptr;
   num_joint_classes_ = 0;
   auto_states_.clear();
@@ -774,8 +730,6 @@ Status Monitor::Compact() {
   pa_.Reset();
   pa_shape_.clear();
   pa_comp_ok_.clear();
-  progress_classes_.clear();
-  progress_classes_instances_ = static_cast<size_t>(-1);
   TIC_COUNTER_ADD("monitor/compactions", 1);
   TIC_RECORD(kEpochReset, time_base_, instances_.size(), 0);
   return Status::OK();
@@ -787,20 +741,21 @@ Status Monitor::ProgressAll(const ptl::PropState& w, size_t* num_classes) {
   // Progression is a pure function of the residual, so once built the classes
   // stay valid across updates — the steady-state path walks the class list
   // directly instead of re-hashing every instance's formula per transaction.
-  // Rebuild only when instances were added since the partition was taken.
-  if (progress_classes_instances_ != instances_.size()) {
+  // Rebuild only when running residuals were added since the partition was
+  // taken.
+  if (progress_classes_instances_ != running_residuals_.size()) {
     progress_classes_.clear();
     flat::FlatMap<ptl::Formula, size_t>& class_of = class_of_scratch_;
     class_of.Clear();
-    for (size_t m = 0; m < instances_.size(); ++m) {
+    for (size_t m = 0; m < running_residuals_.size(); ++m) {
       auto [e, inserted] =
-          class_of.Emplace(instances_[m].residual, progress_classes_.size());
+          class_of.Emplace(running_residuals_[m], progress_classes_.size());
       if (inserted) {
-        progress_classes_.push_back(ProgressClass{instances_[m].residual, {}});
+        progress_classes_.push_back(ProgressClass{running_residuals_[m], {}});
       }
       progress_classes_[e->second].members.push_back(static_cast<uint32_t>(m));
     }
-    progress_classes_instances_ = instances_.size();
+    progress_classes_instances_ = running_residuals_.size();
   }
 
   // Count and progress only live classes (a false residual is a fixpoint);
@@ -847,7 +802,7 @@ Status Monitor::ProgressAll(const ptl::PropState& w, size_t* num_classes) {
   size_t out = 0;
   for (size_t i = 0; i < n; ++i) {
     ProgressClass& pc = progress_classes_[i];
-    for (uint32_t m : pc.members) instances_[m].residual = progressed[i];
+    for (uint32_t m : pc.members) running_residuals_[m] = progressed[i];
     auto [e, inserted] = merged_of.Emplace(progressed[i], out);
     if (inserted) {
       if (out != i) {
@@ -1029,10 +984,10 @@ Status Monitor::RebuildPlacements() {
   // Letter-disjointness broke for some cohorted instance (a fresh element's
   // residual shares atoms with it): recompute the whole partition. Rare by
   // construction — only atom-sharing arrivals land here — and correct by
-  // simplicity: instances hold their ORIGINAL grounded formulas in automaton
-  // mode, so demotion to the joint path needs no state surgery (the joint
-  // epoch replay catches demoted instances up from scratch), and re-cohorted
-  // instances replay through the shared transition memo.
+  // simplicity: instances hold their checkpoint formulas, so demotion to the
+  // joint path needs no state surgery (the joint epoch replay catches demoted
+  // instances up from the checkpoint), and re-cohorted instances replay
+  // through the shared transition memo.
   TIC_SPAN("monitor.cohort_rebuild");
   TIC_COUNTER_ADD("monitor/cohort_rebuilds", 1);
   cohorts_.clear();
@@ -1427,8 +1382,8 @@ Status Monitor::AutomatonApply(bool joint_changed, const ptl::PropState& w,
     // Replay the stored word (it already includes the state just appended).
     // Replay is progression-only — intermediate liveness is never queried —
     // so catching up after a fresh element costs one rewrite per past state,
-    // exactly like the progression backend's GroundAndCatchUp, not a tableau
-    // per state.
+    // exactly like the progression backend's catch-up, not a tableau per
+    // state.
     for (const WordEntry& e : word_) {
       for (uint64_t r = 0; r < e.repeat; ++r) {
         TIC_ASSIGN_OR_RETURN(uint32_t next, AutoStep(auto_current_, e.w));
@@ -1551,48 +1506,6 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
   }
   std::sort(fresh.begin(), fresh.end());
 
-  // Enumerates every assignment over the merged domain that touches a fresh
-  // element and hands it to `make` to build its residual.
-  auto create_fresh_instances =
-      [&](const std::function<Result<ptl::Formula>(
-              const std::vector<GroundElem>&)>& make) -> Status {
-    size_t k = external_.size();
-    if (k == 0 || fresh.empty()) return Status::OK();
-    std::vector<Value> merged;
-    std::merge(known_relevant_.begin(), known_relevant_.end(), fresh.begin(),
-               fresh.end(), std::back_inserter(merged));
-    std::vector<GroundElem> domain;
-    for (Value v : merged) domain.push_back(GroundElem::Relevant(v));
-    for (size_t i = 0; i < k; ++i) domain.push_back(GroundElem::Z(i));
-    std::unordered_set<Value> fresh_set(fresh.begin(), fresh.end());
-
-    std::vector<size_t> idx(k, 0);
-    while (true) {
-      bool touches_fresh = false;
-      for (size_t i = 0; i < k; ++i) {
-        const GroundElem& e = domain[idx[i]];
-        if (!e.is_z() && fresh_set.count(e.value()) > 0) {
-          touches_fresh = true;
-          break;
-        }
-      }
-      if (touches_fresh) {
-        std::vector<GroundElem> assignment(k);
-        for (size_t i = 0; i < k; ++i) assignment[i] = domain[idx[i]];
-        TIC_ASSIGN_OR_RETURN(ptl::Formula residual, make(assignment));
-        instance_index_.Emplace(assignment, instances_.size());
-        instances_.push_back(Instance{std::move(assignment), residual});
-      }
-      size_t d = 0;
-      while (d < k && ++idx[d] == domain.size()) {
-        idx[d] = 0;
-        ++d;
-      }
-      if (d == k) break;
-    }
-    return Status::OK();
-  };
-
   // Current letter, maintained incrementally: the new state differs from the
   // previous one by exactly this transaction's ops, so updating the letter is
   // O(delta) — and `letter_changed` tells the word RLE below whether the new
@@ -1622,55 +1535,20 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
     letter_changed = true;
   }
   const ptl::PropState& w = cur_letter_;
-  auto append_letter = [&] {
-    if (!letter_changed && !word_.empty()) {
-      ++word_.back().repeat;
-    } else {
-      word_.push_back(WordEntry{w, 1});
-    }
-  };
+  if (!letter_changed && !word_.empty()) {
+    ++word_.back().repeat;
+  } else {
+    word_.push_back(WordEntry{w, 1});
+  }
 
   TIC_COUNTER_ADD("monitor/fresh_elements", fresh.size());
+  const size_t first_new = instances_.size();
+  if (!fresh.empty()) TIC_RETURN_NOT_OK(CreateFreshInstances(fresh));
 
-  if (mode_ == MonitorMode::kEagerHistoryLess) {
-    // Fresh instances first (renamed from their stand-in patterns, whose
-    // residuals are still at the t-1 basis), then progress everything through
-    // the new state. The propositional history is never stored.
-    TIC_RETURN_NOT_OK([&] {
-      TIC_SPAN("monitor.fresh_instances");
-      return create_fresh_instances(
-          [&](const std::vector<GroundElem>& a) { return RenameFromPattern(a); });
-    }());
-    if (!fresh.empty()) {
-      std::vector<Value> merged;
-      std::merge(known_relevant_.begin(), known_relevant_.end(), fresh.begin(),
-                 fresh.end(), std::back_inserter(merged));
-      known_relevant_ = std::move(merged);
-    }
-    TIC_RETURN_NOT_OK(ProgressAll(w, &verdict.num_residual_classes));
-  } else if (backend_ == MonitorBackend::kAutomaton) {
-    // Automaton backend (kEager): instances keep their ORIGINAL grounded
-    // formulas; the residual-graph automaton advances one memoized state id
-    // per update. Recurring database states cost a hash lookup — no
-    // progression rewrite, no conjunction rebuild, no tableau.
-    append_letter();
-    size_t first_new = instances_.size();
-    if (!fresh.empty()) {
-      TIC_RETURN_NOT_OK([&] {
-        TIC_SPAN("monitor.fresh_instances");
-        // The automaton machinery replays the stored word uniformly for every
-        // instance, so fresh instances store their word-start basis: the
-        // grounded original — or, once compacted, the checkpoint pattern
-        // residual (the folded prefix is no longer replayable).
-        return create_fresh_instances([&](const std::vector<GroundElem>& a) {
-          return compacted_ ? CompactBaseResidual(a) : GroundMatrix(a);
-        });
-      }());
-      std::vector<Value> merged;
-      std::merge(known_relevant_.begin(), known_relevant_.end(), fresh.begin(),
-                 fresh.end(), std::back_inserter(merged));
-      known_relevant_ = std::move(merged);
-    }
+  if (backend_ == MonitorBackend::kAutomaton) {
+    // Automaton backend (kEager): the residual-graph automaton advances one
+    // memoized state id per update. Recurring database states cost a hash
+    // lookup — no progression rewrite, no conjunction rebuild, no tableau.
     bool cohort_live = true;
     bool joint_live = true;
     bool pa_live = true;
@@ -1759,19 +1637,19 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
     NoteVerdict(verdict);
     last_verdict_ = verdict;
     return verdict;
-  } else {
-    append_letter();
-    TIC_RETURN_NOT_OK(ProgressAll(w, &verdict.num_residual_classes));
-    if (!fresh.empty()) {
-      TIC_RETURN_NOT_OK([&] {
-        TIC_SPAN("monitor.fresh_instances");
-        return create_fresh_instances(
-            [&](const std::vector<GroundElem>& a) { return GroundAndCatchUp(a); });
-      }());
-      std::vector<Value> merged;
-      std::merge(known_relevant_.begin(), known_relevant_.end(), fresh.begin(),
-                 fresh.end(), std::back_inserter(merged));
-      known_relevant_ = std::move(merged);
+  }
+
+  // Progression backend: step every running residual through the new
+  // letter, then catch up the instances the table does not hold yet (the
+  // initial set on the first update, this update's fresh instances, all of
+  // them after a restore) by replaying the word from their basis.
+  TIC_RETURN_NOT_OK(ProgressAll(w, &verdict.num_residual_classes));
+  if (running_residuals_.size() < instances_.size()) {
+    TIC_SPAN("monitor.catch_up");
+    for (size_t i = running_residuals_.size(); i < instances_.size(); ++i) {
+      TIC_ASSIGN_OR_RETURN(ptl::Formula now,
+                           ProgressThroughWord(instances_[i].residual));
+      running_residuals_.push_back(now);
     }
   }
 
@@ -1781,14 +1659,14 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
   {
     TIC_SPAN("monitor.conjunction");
     std::vector<ptl::Formula> parts;
-    parts.reserve(instances_.size());
+    parts.reserve(running_residuals_.size());
     bool any_false = false;
-    for (const Instance& inst : instances_) {
-      if (inst.residual->kind() == ptl::Kind::kFalse) {
+    for (ptl::Formula r : running_residuals_) {
+      if (r->kind() == ptl::Kind::kFalse) {
         any_false = true;
         break;
       }
-      parts.push_back(inst.residual);
+      parts.push_back(r);
     }
     conj = any_false ? prop_factory_->False() : prop_factory_->AndAll(parts);
   }
@@ -1852,18 +1730,24 @@ void Monitor::CaptureDelta(Diagnosis* d) const {
   }
 }
 
-Status Monitor::BuildTrajectory(ptl::Formula grounded, Diagnosis* d,
+Status Monitor::BuildTrajectory(ptl::Formula basis, Diagnosis* d,
                                 ptl::PropState* fatal_w) {
   ptl::Factory* pf = prop_factory_.get();
-  ptl::Formula cur = grounded;
+  ptl::Formula cur = basis;
   ptl::Formula prev = nullptr;
-  size_t time = 0;
   auto push = [&](size_t tm, ptl::Formula f) {
     if (d->trajectory.size() == kTrajectoryK) {
       d->trajectory.erase(d->trajectory.begin());
     }
     d->trajectory.push_back(DiagnosisStep{tm, f, f->size()});
   };
+  // The word starts at state 0, or once compacted just after the checkpoint
+  // state time_base_, where the basis is itself the residual.
+  size_t time = 0;
+  if (compacted_) {
+    push(time_base_, basis);
+    time = time_base_ + 1;
+  }
   for (const WordEntry& e : word_) {
     for (uint64_t r = 0; r < e.repeat; ++r) {
       TIC_ASSIGN_OR_RETURN(ptl::Formula next, ptl::Progress(pf, cur, e.w));
@@ -1917,14 +1801,7 @@ Result<Diagnosis> Monitor::DiagnoseInstance(uint32_t idx, size_t t,
   }
   TIC_ASSIGN_OR_RETURN(d.grounded, GroundMatrix(inst.assignment));
   ptl::PropState fatal_w = w;
-  if (!word_.empty()) {
-    TIC_RETURN_NOT_OK(BuildTrajectory(d.grounded, &d, &fatal_w));
-  } else {
-    // History-less mode stores no word: report the current residual only.
-    d.residual = inst.residual;
-    d.trajectory.push_back(
-        DiagnosisStep{t, inst.residual, inst.residual->size()});
-  }
+  TIC_RETURN_NOT_OK(BuildTrajectory(inst.residual, &d, &fatal_w));
   if (d.last_live != nullptr && d.last_live->kind() != ptl::Kind::kFalse) {
     TIC_ASSIGN_OR_RETURN(
         ptl::CollapseExplanation ce,
@@ -1950,29 +1827,28 @@ Status Monitor::BuildExplanations(size_t t, const ptl::PropState& w,
     culprits = dead_scratch_;
     num_culprits_ = dead_total_;
   } else {
-    // Progression-style paths: residuals that literally collapsed to false.
+    // Formulas that literally collapsed to false: the progression
+    // backend's running residuals, else a basis that is false itself.
     for (uint32_t i = 0; i < instances_.size(); ++i) {
-      if (instances_[i].residual->kind() == ptl::Kind::kFalse) {
-        culprits.push_back(i);
-      }
+      ptl::Formula f = i < running_residuals_.size() ? running_residuals_[i]
+                                                     : instances_[i].residual;
+      if (f->kind() == ptl::Kind::kFalse) culprits.push_back(i);
     }
-    // Automaton joint path (instances hold un-progressed originals) or an
-    // unsat-but-not-false conjunction: replay each instance's grounded
-    // original through the stored word — capped, memoized per distinct
-    // original — looking for individually false (then unsat) residuals.
-    if (culprits.empty() && !word_.empty()) {
+    // Automaton joint path (no per-instance state) or an unsat-but-not-false
+    // conjunction: replay each instance's basis through the stored word —
+    // capped, memoized per distinct basis — looking for individually false
+    // (then unsat) residuals.
+    if (culprits.empty()) {
       std::unordered_map<ptl::Formula, ptl::Formula> final_of;
       std::vector<std::pair<uint32_t, ptl::Formula>> finals;
       for (uint32_t i = 0;
            i < instances_.size() && final_of.size() < kMaxReplayInstances;
            ++i) {
-        TIC_ASSIGN_OR_RETURN(ptl::Formula g,
-                             GroundMatrix(instances_[i].assignment));
-        auto it = final_of.find(g);
+        ptl::Formula basis = instances_[i].residual;
+        auto it = final_of.find(basis);
         if (it == final_of.end()) {
-          TIC_ASSIGN_OR_RETURN(ptl::Formula fin,
-                               GroundAndCatchUp(instances_[i].assignment));
-          it = final_of.emplace(g, fin).first;
+          TIC_ASSIGN_OR_RETURN(ptl::Formula fin, ProgressThroughWord(basis));
+          it = final_of.emplace(basis, fin).first;
         }
         finals.emplace_back(i, it->second);
       }

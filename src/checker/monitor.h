@@ -113,6 +113,10 @@ class Monitor {
   /// `verdict.time` keeps counting absolute instants via time_base().
   /// ResourceExhausted (monitor unchanged) when the pattern enumeration would
   /// exceed kMaxCompactEnumeration.
+  ///
+  /// History-less monitoring (the paper's Section 6 question) is this call
+  /// after every update: the monitor then holds one database state, the
+  /// checkpoint, and the word since it, whatever the history length.
   Status Compact();
 
   /// Absolute instant of physical history state 0: the number of history
@@ -139,14 +143,10 @@ class Monitor {
   Monitor(std::shared_ptr<fotl::FormulaFactory> fotl_factory, fotl::Formula phi,
           History history, CheckOptions options, MonitorMode mode);
 
-  // Grounds the matrix for one instance assignment and progresses it through
-  // the whole current history (used when new elements join R_D).
-  Result<ptl::Formula> GroundAndCatchUp(const std::vector<GroundElem>& assignment);
-
-  // Progresses every live residual through `w`: residuals are partitioned into
-  // equivalence classes by hash-consed identity, one representative per class
-  // is progressed (in parallel when a thread pool is configured), and the
-  // results are fanned back out to the instances.
+  // Progresses every running residual through `w`: residuals are partitioned
+  // into equivalence classes by hash-consed identity, one representative per
+  // class is progressed (in parallel when a thread pool is configured), and
+  // the results are fanned back out to running_residuals_.
   Status ProgressAll(const ptl::PropState& w, size_t* num_classes);
 
   // Builds the propositional state for history state `t`, creating letters on
@@ -165,6 +165,12 @@ class Monitor {
   // Progresses `f` through the whole stored word (RLE fixpoint per run).
   Result<ptl::Formula> ProgressThroughWord(ptl::Formula f);
 
+  // Creates one instance per assignment over known_relevant_ + `fresh`
+  // (sorted, disjoint from known_relevant_) + stand-ins that touches a fresh
+  // element, with its basis (Instance::residual), and merges `fresh` into
+  // known_relevant_.
+  Status CreateFreshInstances(const std::vector<Value>& fresh);
+
   // --- Checkpointed history compaction (Monitor::Compact) ---
   // Enumerates the compaction patterns: assignments over
   // compact_relevant_ + real stand-ins Z(0..k-1) + kept stand-ins Z(k..2k-1)
@@ -173,12 +179,13 @@ class Monitor {
   // structures and swaps at the end, so a second compaction can read the
   // previous checkpoint's patterns while building.
   Status BuildCompactPatterns();
-  // Residual of `assignment` at the checkpoint: elements unknown at the fold
-  // (not in compact_relevant_, or stand-ins with index >= k) are canonically
-  // renumbered onto the kept stand-ins, the matching pattern residual is
-  // looked up, and its kept-stand-in letters are renamed back to the real
-  // element codes. Replaces GroundMatrix as the catch-up basis once
-  // compacted_ — the folded prefix can no longer be replayed.
+  // Residual at the checkpoint of an assignment that mentions an element
+  // unknown at the fold (not in compact_relevant_, or a stand-in with index
+  // >= k): unknown elements are canonically renumbered onto the kept
+  // stand-ins, the matching pattern residual is looked up, and its
+  // kept-stand-in letters are renamed back to the real element codes.
+  // Replaces GroundMatrix as a fresh instance's basis once compacted_ — the
+  // folded prefix can no longer be replayed.
   Result<ptl::Formula> CompactBaseResidual(
       const std::vector<GroundElem>& assignment);
   // Renames every letter whose key mentions a source code of `code_map` to
@@ -192,9 +199,6 @@ class Monitor {
   Status AutomatonApply(bool joint_changed, const ptl::PropState& w,
                         MonitorVerdict* verdict);
 
-  // History-less catch-up: derives the residual of a fresh-element assignment
-  // by renaming the stand-in letters of its z-pattern instance's residual.
-  Result<ptl::Formula> RenameFromPattern(const std::vector<GroundElem>& assignment);
   ptl::Formula RenameLetters(ptl::Formula f,
                              const std::unordered_map<ptl::PropId, ptl::PropId>& map);
 
@@ -255,7 +259,13 @@ class Monitor {
   // snapshotting the map.
   flat::FlatMap<Value, std::vector<uint32_t>> letters_by_code_;
 
-  // One residual per instance; the monitored condition is their conjunction.
+  // One instance per grounding assignment; the monitored condition is the
+  // conjunction of their formulas. `residual` is the instance's formula at
+  // the last checkpoint, in every backend: its grounding before the first
+  // Compact(), then what Compact() rebased it to (or, for an instance created
+  // after a fold, its z-pattern residual). Progressing it through word_ gives
+  // the formula now; each engine keeps that stepped state itself (automaton
+  // state ids, cohort slots, point-algebra units, running_residuals_).
   struct Instance {
     std::vector<GroundElem> assignment;
     ptl::Formula residual;
@@ -268,9 +278,6 @@ class Monitor {
     bool operator()(const std::vector<GroundElem>& a,
                     const std::vector<GroundElem>& b) const;
   };
-  flat::FlatMap<std::vector<GroundElem>, size_t, flat::Remixed<AssignmentHash>,
-                AssignmentEq>
-      instance_index_;
 
   // --- Compaction checkpoint (Monitor::Compact) ---
   bool compacted_ = false;
@@ -331,11 +338,12 @@ class Monitor {
                            ptl::Formula joint_residual, MonitorVerdict* verdict);
   Result<Diagnosis> DiagnoseInstance(uint32_t idx, size_t t,
                                      const ptl::PropState& w);
-  // Progresses `grounded` through the stored word, keeping the last-K
-  // trajectory; fills d->trajectory / d->residual / d->last_live and sets
+  // Progresses `basis` (an instance's formula at the last checkpoint)
+  // through the stored word, keeping the last-K trajectory at absolute
+  // times; fills d->trajectory / d->residual / d->last_live and sets
   // *fatal_w to the letter under which the residual first collapsed (the
   // final letter when it never literally reached `false`).
-  Status BuildTrajectory(ptl::Formula grounded, Diagnosis* d,
+  Status BuildTrajectory(ptl::Formula basis, Diagnosis* d,
                          ptl::PropState* fatal_w);
   // Decodes last_delta_ into d->delta using the letter names.
   void CaptureDelta(Diagnosis* d) const;
@@ -343,9 +351,8 @@ class Monitor {
   void NoteVerdict(const MonitorVerdict& v);
 
   // --- Automaton backend state (kEager + MonitorBackend::kAutomaton) ---
-  // In this mode Instance::residual holds the instance's ORIGINAL grounded
-  // formula (never progressed) and the monitor runs the *residual-graph
-  // automaton* of the joint conjunction: each distinct residual the history
+  // The monitor runs the *residual-graph automaton* of the joint conjunction
+  // of the instances' checkpoint formulas: each distinct residual the history
   // can reach is one state (hash-consed formula identity), liveness is
   // decided once per state (CheckSat through the shared verdict cache, not
   // per update), and a transition is a memoized `(state id, letter
@@ -385,18 +392,25 @@ class Monitor {
   flat::FlatSet<Value> active_scratch_;  // this state's active domain
   flat::FlatMap<ptl::Formula, size_t> class_of_scratch_;  // ProgressAll classes
 
+  // --- Progression backend state (MonitorBackend::kProgression) ---
+  // Running residuals, one per instance: the instance's checkpoint formula
+  // progressed through word_. Instances past the end of the table (the
+  // initial set, fresh ones, all of them after a restore) are caught up by
+  // replaying the word from their basis on the next update. Compact() leaves
+  // the table alone — a fold changes the basis and the word, not "now".
+  std::vector<ptl::Formula> running_residuals_;
   // ProgressAll's persistent residual equivalence classes: maintained across
   // updates instead of being rebuilt from formula identity every transaction.
   // Progression is a function of the residual alone, so class membership only
   // changes when (a) two classes' progressed residuals collide — merged
-  // in-place after each update — or (b) instances are added, which
+  // in-place after each update — or (b) running residuals are added, which
   // invalidates the partition wholesale (progress_classes_instances_ guards).
   struct ProgressClass {
     ptl::Formula residual;
     std::vector<uint32_t> members;  // instance indices
   };
   std::vector<ProgressClass> progress_classes_;
-  size_t progress_classes_instances_ = 0;  // instances_.size() when built
+  size_t progress_classes_instances_ = 0;  // running_residuals_.size() when built
 
   // --- Cohort lockstep state (kAutomaton + CheckOptions::cohort_stepping) ---
   // Instances whose residuals share no ground atoms (union-find over PropIds)

@@ -34,7 +34,8 @@ struct DiagnosisDelta {
 };
 
 /// One point of the residual trajectory: the instance's residual AFTER
-/// consuming history state `time`.
+/// consuming history state `time` (an absolute instant, counting states
+/// Monitor::Compact() folded away).
 struct DiagnosisStep {
   size_t time = 0;
   ptl::Formula residual = nullptr;

@@ -34,8 +34,9 @@ struct VerdictCacheStats {
 /// Two formulas have equal keys iff one is an injective letter-renaming of the
 /// other — precisely the equivalence satisfiability is invariant under, and
 /// the reason grounding instances over different domain elements (which are
-/// letter-renamings of one another, the `kEagerHistoryLess` observation) can
-/// share one cached verdict. Because the key carries no PropIds or node
+/// letter-renamings of one another — the same indistinguishability that lets
+/// Monitor::Compact() catch fresh elements up from z-patterns) can share one
+/// cached verdict. Because the key carries no PropIds or node
 /// addresses, it transfers across Factory and PropVocabulary instances.
 struct CanonicalFormula {
   std::string key;

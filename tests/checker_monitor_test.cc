@@ -1,6 +1,7 @@
 // Tests for the incremental monitor: equivalence with the batch checker on
-// random update streams, permanence of violations, eager vs lazy modes, and
-// catch-up for newly relevant elements.
+// random update streams, permanence of violations, eager vs lazy modes,
+// catch-up for newly relevant elements, and history-less monitoring (the
+// progression backend compacted after every update).
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,22 @@ class MonitorTest : public ::testing::Test {
     for (Value v : unsubs) t.push_back(UpdateOp::Delete(sub_, {v}));
     for (Value v : unfills) t.push_back(UpdateOp::Delete(fill_, {v}));
     return t;
+  }
+
+  // History-less monitoring (Section 6's open question): the progression
+  // backend with Compact() after every update, so fresh elements are caught
+  // up from z-patterns and the monitor holds only the current state.
+  std::unique_ptr<Monitor> HistoryLess(fotl::Formula phi,
+                                       CheckOptions options = {}) {
+    options.backend = MonitorBackend::kProgression;
+    return *Monitor::Create(fac_, phi, {}, options);
+  }
+  Result<MonitorVerdict> ApplyHistoryLess(Monitor* m, const Transaction& txn) {
+    Result<MonitorVerdict> v = m->ApplyTransaction(txn);
+    if (!v.ok()) return v;
+    TIC_RETURN_NOT_OK(m->Compact());
+    EXPECT_EQ(m->history().length(), 1u);
+    return v;
   }
 
   VocabularyPtr vocab_;
@@ -156,16 +173,16 @@ TEST_F(MonitorTest, HistoryAccessor) {
 }
 
 TEST_F(MonitorTest, HistoryLessModeMatchesEagerOnRandomStreams) {
-  // The history-less monitor (Section 6's open question, answered by renaming
-  // stand-in residuals) must produce verdicts identical to the replaying
-  // eager monitor — including across fresh-element arrivals and deletions.
+  // The history-less monitor (Section 6's open question, answered by
+  // z-pattern catch-up after every fold) must produce verdicts identical to
+  // the replaying eager monitor — including across fresh-element arrivals
+  // and deletions.
   for (fotl::Formula phi : {submit_once_, fifo_}) {
     for (int seed = 0; seed < 10; ++seed) {
       std::mt19937 rng(31337 + seed);
       auto eager =
           *Monitor::Create(fac_, phi, {}, {}, MonitorMode::kEager);
-      auto hless =
-          *Monitor::Create(fac_, phi, {}, {}, MonitorMode::kEagerHistoryLess);
+      auto hless = HistoryLess(phi);
       for (int step = 0; step < 7; ++step) {
         std::vector<Value> subs, fills, unsubs;
         if (rng() % 2) subs.push_back(1 + rng() % 4);
@@ -173,9 +190,10 @@ TEST_F(MonitorTest, HistoryLessModeMatchesEagerOnRandomStreams) {
         if (rng() % 3 == 0) unsubs.push_back(1 + rng() % 4);
         Transaction txn = Txn(subs, fills, unsubs);
         auto ve = eager->ApplyTransaction(txn);
-        auto vh = hless->ApplyTransaction(txn);
+        auto vh = ApplyHistoryLess(hless.get(), txn);
         ASSERT_TRUE(ve.ok()) << ve.status().ToString();
         ASSERT_TRUE(vh.ok()) << vh.status().ToString();
+        EXPECT_EQ(ve->time, vh->time);
         EXPECT_EQ(ve->potentially_satisfied, vh->potentially_satisfied)
             << "seed " << seed << " step " << step;
         EXPECT_EQ(ve->permanently_violated, vh->permanently_violated);
@@ -186,17 +204,17 @@ TEST_F(MonitorTest, HistoryLessModeMatchesEagerOnRandomStreams) {
 
 TEST_F(MonitorTest, HistoryLessFreshElementCatchUp) {
   // Element 9 appears late; its instance must behave as if progressed through
-  // the whole history — but is derived purely by renaming.
-  auto m = *Monitor::Create(fac_, submit_once_, {}, {},
-                            MonitorMode::kEagerHistoryLess);
-  ASSERT_TRUE(m->ApplyTransaction(Txn({1}, {})).ok());
-  ASSERT_TRUE(m->ApplyTransaction(Txn({}, {}, {1})).ok());
-  auto v = m->ApplyTransaction(Txn({9}, {}));
+  // the whole history — but the history is folded away, so it is derived
+  // purely by renaming a z-pattern residual.
+  auto m = HistoryLess(submit_once_);
+  ASSERT_TRUE(ApplyHistoryLess(m.get(), Txn({1}, {})).ok());
+  ASSERT_TRUE(ApplyHistoryLess(m.get(), Txn({}, {}, {1})).ok());
+  auto v = ApplyHistoryLess(m.get(), Txn({9}, {}));
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->potentially_satisfied);
   // Resubmitting 9 later is caught by the renamed instance.
-  ASSERT_TRUE(m->ApplyTransaction(Txn({}, {}, {9})).ok());
-  auto v2 = m->ApplyTransaction(Txn({9}, {}));
+  ASSERT_TRUE(ApplyHistoryLess(m.get(), Txn({}, {}, {9})).ok());
+  auto v2 = ApplyHistoryLess(m.get(), Txn({9}, {}));
   ASSERT_TRUE(v2.ok());
   EXPECT_FALSE(v2->potentially_satisfied);
   EXPECT_TRUE(v2->permanently_violated);
@@ -204,13 +222,12 @@ TEST_F(MonitorTest, HistoryLessFreshElementCatchUp) {
 
 TEST_F(MonitorTest, AllModesAgreeOnNewElementCatchUpViolation) {
   // A fresh element (2) arrives mid-stream, gets caught up through the
-  // history, and later violates submit-once. All three modes must agree on
+  // history, and later violates submit-once. All three monitors must agree on
   // permanence at every step; lazy agrees here because the violation is
   // present-detectable (progression alone collapses to false).
   auto eager = *Monitor::Create(fac_, submit_once_, {}, {}, MonitorMode::kEager);
   auto lazy = *Monitor::Create(fac_, submit_once_, {}, {}, MonitorMode::kLazy);
-  auto hless = *Monitor::Create(fac_, submit_once_, {}, {},
-                                MonitorMode::kEagerHistoryLess);
+  auto hless = HistoryLess(submit_once_);
   std::vector<Transaction> txns = {
       Txn({1}, {}),         Txn({}, {}, {1}), Txn({2}, {}),
       Txn({}, {}, {2}),     Txn({2}, {}),  // resubmission: permanent violation
@@ -218,7 +235,7 @@ TEST_F(MonitorTest, AllModesAgreeOnNewElementCatchUpViolation) {
   for (size_t step = 0; step < txns.size(); ++step) {
     auto ve = eager->ApplyTransaction(txns[step]);
     auto vl = lazy->ApplyTransaction(txns[step]);
-    auto vh = hless->ApplyTransaction(txns[step]);
+    auto vh = ApplyHistoryLess(hless.get(), txns[step]);
     ASSERT_TRUE(ve.ok()) << ve.status().ToString();
     ASSERT_TRUE(vl.ok()) << vl.status().ToString();
     ASSERT_TRUE(vh.ok()) << vh.status().ToString();
@@ -233,23 +250,29 @@ TEST_F(MonitorTest, ParallelVerdictsMatchSequentialBitForBit) {
   // Progression is pure and the factory canonicalizes by content fingerprint,
   // so running residual classes on a pool must leave every verdict field —
   // including residual size and class counts — identical to sequential runs.
+  // Checked on the default monitor and on history-less monitoring.
   CheckOptions par;
   par.threads = 4;
   for (fotl::Formula phi : {submit_once_, fifo_}) {
-    for (MonitorMode mode :
-         {MonitorMode::kEager, MonitorMode::kEagerHistoryLess}) {
+    for (bool history_less : {false, true}) {
       for (int seed = 0; seed < 6; ++seed) {
         std::mt19937 rng(7000 + seed);
-        auto seq = *Monitor::Create(fac_, phi, {}, {}, mode);
-        auto parallel = *Monitor::Create(fac_, phi, {}, par, mode);
+        auto seq = history_less ? HistoryLess(phi)
+                                : *Monitor::Create(fac_, phi, {}, {});
+        auto parallel = history_less ? HistoryLess(phi, par)
+                                     : *Monitor::Create(fac_, phi, {}, par);
+        auto apply = [&](Monitor* m, const Transaction& txn) {
+          return history_less ? ApplyHistoryLess(m, txn)
+                              : m->ApplyTransaction(txn);
+        };
         for (int step = 0; step < 7; ++step) {
           std::vector<Value> subs, fills, unsubs;
           if (rng() % 2) subs.push_back(1 + rng() % 4);
           if (rng() % 2) fills.push_back(1 + rng() % 4);
           if (rng() % 3 == 0) unsubs.push_back(1 + rng() % 4);
           Transaction txn = Txn(subs, fills, unsubs);
-          auto vs = seq->ApplyTransaction(txn);
-          auto vp = parallel->ApplyTransaction(txn);
+          auto vs = apply(seq.get(), txn);
+          auto vp = apply(parallel.get(), txn);
           ASSERT_TRUE(vs.ok()) << vs.status().ToString();
           ASSERT_TRUE(vp.ok()) << vp.status().ToString();
           EXPECT_EQ(vp->potentially_satisfied, vs->potentially_satisfied)
@@ -354,8 +377,8 @@ TEST_F(MonitorTest, HistoryLessEarliestDetectionPreserved) {
   // constraint from the integration tests.
   auto phi = *fotl::Parse(fac_.get(),
                           "forall x . G (Sub(x) -> (X Fill(x)) & (X !Fill(x)))");
-  auto m = *Monitor::Create(fac_, phi, {}, {}, MonitorMode::kEagerHistoryLess);
-  auto v = m->ApplyTransaction(Txn({1}, {}));
+  auto m = HistoryLess(phi);
+  auto v = ApplyHistoryLess(m.get(), Txn({1}, {}));
   ASSERT_TRUE(v.ok());
   EXPECT_FALSE(v->potentially_satisfied);  // earliest possible detection
 }

@@ -46,13 +46,21 @@ class ProvenanceTest : public ::testing::Test {
   }
 
   // Drives the canonical submit-once violation: Sub(7), withdraw, resubmit.
-  // The violation lands at t=2.
-  MonitorVerdict PlantViolation(Monitor* m) {
-    EXPECT_TRUE(m->ApplyTransaction(Txn({7}, {})).ok());
-    EXPECT_TRUE(m->ApplyTransaction(Txn({}, {}, {7})).ok());
-    auto v = m->ApplyTransaction(Txn({7}, {}));
-    EXPECT_TRUE(v.ok()) << v.status().ToString();
-    return *v;
+  // The violation lands at t=2. With `compact`, the monitor folds its
+  // history after every update (history-less monitoring).
+  MonitorVerdict PlantViolation(Monitor* m, bool compact = false) {
+    auto apply = [&](const Transaction& txn) {
+      auto v = m->ApplyTransaction(txn);
+      EXPECT_TRUE(v.ok()) << v.status().ToString();
+      if (compact) {
+        EXPECT_TRUE(m->Compact().ok());
+        EXPECT_EQ(m->history().length(), 1u);
+      }
+      return *v;
+    };
+    apply(Txn({7}, {}));
+    apply(Txn({}, {}, {7}));
+    return apply(Txn({7}, {}));
   }
 
   VocabularyPtr vocab_;
@@ -127,25 +135,60 @@ TEST_F(ProvenanceTest, AllModesAndBackendsProduceADiagnosis) {
   struct Config {
     MonitorMode mode;
     MonitorBackend backend;
+    bool compact;
     const char* label;
   };
   const Config configs[] = {
-      {MonitorMode::kEager, MonitorBackend::kAutomaton, "eager/automaton"},
-      {MonitorMode::kEager, MonitorBackend::kProgression, "eager/progression"},
-      {MonitorMode::kLazy, MonitorBackend::kProgression, "lazy"},
-      {MonitorMode::kEagerHistoryLess, MonitorBackend::kAutomaton,
-       "historyless/automaton"},
+      {MonitorMode::kEager, MonitorBackend::kAutomaton, false,
+       "eager/automaton"},
+      {MonitorMode::kEager, MonitorBackend::kProgression, false,
+       "eager/progression"},
+      {MonitorMode::kLazy, MonitorBackend::kProgression, false, "lazy"},
+      {MonitorMode::kEager, MonitorBackend::kProgression, true,
+       "historyless/progression"},
   };
   for (const Config& cfg : configs) {
     CheckOptions options;
     options.backend = cfg.backend;
     auto m = *Monitor::Create(fac_, submit_once_, {}, options, cfg.mode);
-    MonitorVerdict v = PlantViolation(m.get());
+    MonitorVerdict v = PlantViolation(m.get(), cfg.compact);
     ASSERT_TRUE(v.permanently_violated) << cfg.label;
     ASSERT_FALSE(v.explanations().empty()) << cfg.label;
     const Diagnosis& d = v.explanations().front();
     EXPECT_EQ(d.time, 2u) << cfg.label;
     EXPECT_FALSE(d.Render().empty()) << cfg.label;
+  }
+}
+
+TEST_F(ProvenanceTest, TrajectoryAfterCompactReplaysFromTheCheckpoint) {
+  // Sub(7) at t=5, folded; withdrawn at t=6, folded; resubmitted at t=7. The
+  // culprit's trajectory must replay from its checkpoint formula, not from
+  // the t=0 grounding, and count absolute instants.
+  for (MonitorBackend backend :
+       {MonitorBackend::kAutomaton, MonitorBackend::kProgression}) {
+    const char* label =
+        backend == MonitorBackend::kAutomaton ? "automaton" : "progression";
+    CheckOptions options;
+    options.backend = backend;
+    auto m = *Monitor::Create(fac_, submit_once_, {}, options);
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(m->ApplyTransaction({}).ok());
+    ASSERT_TRUE(m->ApplyTransaction(Txn({7}, {})).ok());
+    ASSERT_TRUE(m->Compact().ok());
+    ASSERT_TRUE(m->ApplyTransaction(Txn({}, {}, {7})).ok());
+    ASSERT_TRUE(m->Compact().ok());
+    auto v = m->ApplyTransaction(Txn({7}, {}));
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    ASSERT_TRUE(v->permanently_violated) << label;
+    ASSERT_FALSE(v->explanations().empty()) << label;
+    const Diagnosis& d = v->explanations().front();
+    EXPECT_EQ(d.time, 7u) << label;
+    ASSERT_FALSE(d.trajectory.empty()) << label;
+    EXPECT_EQ(d.trajectory.front().time, 6u) << label << "\n" << d.Render();
+    EXPECT_EQ(d.trajectory.back().time, d.time) << label << "\n" << d.Render();
+    ASSERT_NE(d.residual, nullptr) << label;
+    EXPECT_EQ(d.residual->kind(), ptl::Kind::kFalse)
+        << label << "\n" << d.Render();
+    EXPECT_NE(d.subformula, nullptr) << label;
   }
 }
 
@@ -218,14 +261,15 @@ TEST_F(ProvenanceTest, TriggerExplanationsAreOptional) {
 }
 
 // ---------------------------------------------------------------------------
-// The differential witness-replay suite (ISSUE acceptance bar): >=500 seeded
-// generated cases; every violated verdict must carry a Diagnosis, and a fresh
-// monitor fed the reconstructed stream must reach the same verdict at the
-// same index.
+// The differential witness-replay suite: >=500 seeded generated cases; every
+// violated verdict must carry a Diagnosis, and a fresh monitor fed the
+// reconstructed stream must reach the same verdict at the same index. With
+// `compact`, the monitor under test folds its history after every update, so
+// the stream is rebuilt from the case instead of from the monitor.
 
 void RunDifferentialFamily(uint32_t seed_base, int num_cases, MonitorMode mode,
                            MonitorBackend backend, bool cohorts,
-                           int* violated_count) {
+                           int* violated_count, bool compact = false) {
   auto replay_seed = tt::ReplaySeedFromEnv();
   for (int c = 0; c < num_cases; ++c) {
     if (replay_seed && *replay_seed != static_cast<uint64_t>(c)) continue;
@@ -247,6 +291,11 @@ void RunDifferentialFamily(uint32_t seed_base, int num_cases, MonitorMode mode,
     for (size_t i = 0; i < kase.stream.size(); ++i) {
       auto v = (*monitor)->ApplyTransaction(kase.stream[i]);
       ASSERT_TRUE(v.ok()) << label << ": " << v.status().ToString();
+      if (compact) {
+        Status s = (*monitor)->Compact();
+        ASSERT_TRUE(s.ok()) << label << ": " << s.ToString();
+        ASSERT_EQ((*monitor)->history().length(), 1u) << label;
+      }
       if (violated) continue;  // dead monitor: diagnosis checked below
       if (v->permanently_violated) {
         violated = true;
@@ -262,8 +311,15 @@ void RunDifferentialFamily(uint32_t seed_base, int num_cases, MonitorMode mode,
     if (!violated) continue;
     ++*violated_count;
 
-    auto outcome = ReplayHistory(kase.factory, kase.sentence,
-                                 (*monitor)->history(), options, mode);
+    History history = (*monitor)->history();
+    if (compact) {
+      history = *History::Create(kase.factory->vocabulary());
+      for (const Transaction& txn : kase.stream) {
+        ASSERT_TRUE(ApplyTransaction(&history, txn).ok()) << label;
+      }
+    }
+    auto outcome = ReplayHistory(kase.factory, kase.sentence, history,
+                                 options, mode);
     ASSERT_TRUE(outcome.ok()) << label << ": " << outcome.status().ToString();
     EXPECT_TRUE(outcome->violated)
         << label << ": replay lost the violation\nreproducer:\n"
@@ -301,10 +357,11 @@ TEST(ProvenanceDifferentialTest, LazyModeWitnessesReplay) {
 }
 
 TEST(ProvenanceDifferentialTest, HistoryLessModeWitnessesReplay) {
+  // History-less monitoring: progression compacted after every update.
   int violated = 0;
-  RunDifferentialFamily(0x51a7e004u, 100, MonitorMode::kEagerHistoryLess,
-                        MonitorBackend::kAutomaton, /*cohorts=*/true,
-                        &violated);
+  RunDifferentialFamily(0x51a7e004u, 100, MonitorMode::kEager,
+                        MonitorBackend::kProgression, /*cohorts=*/false,
+                        &violated, /*compact=*/true);
   EXPECT_GE(violated, 15);
 }
 

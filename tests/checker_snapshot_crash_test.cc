@@ -222,6 +222,48 @@ TEST_P(SnapshotCrashTest, GarbageAndEmptyInputs) {
   EXPECT_FALSE(snapshot::LooksLikeSnapshot("TICSNAP9"));
 }
 
+// Rebuilds `blob` with its meta prefix passed through `edit`, every section
+// (and its CRC) otherwise intact, so a rejection can only come from the
+// semantic check of the edited field.
+std::string WithMeta(const std::string& blob,
+                     void (*edit)(snapshot::MetaPrefix*)) {
+  auto reader = *snapshot::SnapshotReader::Parse(blob);
+  snapshot::SnapshotWriter w(reader.flags());
+  for (const auto& sec : reader.sections()) {
+    snapshot::ByteWriter* out = w.AddSection(sec.id);
+    snapshot::ByteReader in(sec.payload);
+    if (sec.id == snapshot::kSecMeta) {
+      snapshot::MetaPrefix meta = *snapshot::ReadMetaPrefix(&in);
+      edit(&meta);
+      snapshot::WriteMetaPrefix(out, meta);
+    }
+    out->PutBytes(sec.payload.data() + (sec.payload.size() - in.remaining()),
+                  in.remaining());
+  }
+  return w.Finish();
+}
+
+TEST(SnapshotVersionTest, RetiredModeAndOldStateVersionFailClosed) {
+  const std::string blob = UniversalBlob();
+  // The rewrite alone round-trips: a rejection below is the edited field's.
+  ASSERT_EQ(WithMeta(blob, [](snapshot::MetaPrefix*) {}), blob);
+
+  // Mode byte 2 named the retired history-less mode.
+  auto retired_mode = MonitorCheckpoint::Restore(
+      WithMeta(blob, [](snapshot::MetaPrefix* m) { m->mode = 2; }));
+  ASSERT_FALSE(retired_mode.ok()) << "restore accepted mode byte 2";
+  EXPECT_NE(retired_mode.status().ToString().find("mode"), std::string::npos)
+      << retired_mode.status().ToString();
+
+  // Version 1 stored progression residuals at "now", not checkpoint bases.
+  auto old_version = MonitorCheckpoint::Restore(
+      WithMeta(blob, [](snapshot::MetaPrefix* m) { m->state_version = 1; }));
+  ASSERT_FALSE(old_version.ok()) << "restore accepted state version 1";
+  EXPECT_NE(old_version.status().ToString().find("version 1"),
+            std::string::npos)
+      << old_version.status().ToString();
+}
+
 INSTANTIATE_TEST_SUITE_P(Routes, SnapshotCrashTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? std::string("PastRoute")

@@ -21,7 +21,8 @@
 //   E: 100  past-stateless route (router_force_past)
 // plus a metamorphic compaction oracle: compact-at-every-k verdicts equal
 // the never-compacted reference, and snapshot/restore of the compacted twin
-// stays equivalent.
+// stays equivalent (90 automaton cases, cohorts on and off, plus 60
+// progression cases).
 //
 // Every failure message carries the case seed and a serialized reproducer;
 // re-run one case with TIC_REPLAY_SEED=<seed>.
@@ -273,7 +274,9 @@ TEST(SnapshotDiff, FamilyE_PastRoute) {
 // Metamorphic compaction oracle: folding the history prefix into the
 // checkpoint at every k-th transaction (k in {1, 2, 3}) must not change any
 // verdict, and a snapshot taken of the compacted twin must restore into an
-// equivalent monitor. Run over both the cohort and the no-cohort config.
+// equivalent monitor. Run over the cohort and the no-cohort automaton config
+// and over the progression backend, whose k = 1 slice is history-less
+// monitoring.
 // ---------------------------------------------------------------------------
 TEST(SnapshotDiff, MetamorphicCompactEveryK) {
   std::optional<uint64_t> replay = tt::ReplaySeedFromEnv();
@@ -286,6 +289,16 @@ TEST(SnapshotDiff, MetamorphicCompactEveryK) {
     CheckOptions options;
     options.cohort_stepping = (c % 2 == 0);
     ExpectEquivalent(kase, options, seed, "M/compact-every-k", k);
+  }
+  for (uint64_t c = 0; c < 60; ++c) {
+    uint64_t seed = 0x3b91e6d5u + c;
+    if (replay && *replay != seed) continue;
+    tt::Entropy ent(seed);
+    tt::FotlCase kase = tt::GenerateSafetyCase(&ent, tt::SafetyCaseOptions{});
+    size_t k = 1 + (c % 3);
+    CheckOptions options;
+    options.backend = MonitorBackend::kProgression;
+    ExpectEquivalent(kase, options, seed, "M/compact-every-k-progression", k);
   }
 }
 
