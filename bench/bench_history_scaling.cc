@@ -239,9 +239,11 @@ int main(int argc, char** argv) {
        tic::checker::MonitorBackend::kProgression});
   std::vector<bool> cohort_modes =
       tic::bench::ParseCohort(&argc, argv, {true, false});
-  // The fixture constraints live outside the tractable fragments, so the
-  // router axis measures pure routing overhead here; bench_router holds the
-  // fragment speedups. Default a single mode to keep the grid flat.
+  // The router axis: fifo's atom-sharing pairs are in the release fragment,
+  // so router:on steps them as cohort slots and router:off keeps the joint
+  // residual graph (EXPERIMENTS.md E2 records the trade-off); submit_once
+  // lies outside every fragment. bench_router holds the fragment speedups.
+  // Default a single mode to keep the grid flat.
   std::vector<bool> router_modes = tic::bench::ParseRouter(&argc, argv, {true});
   tic::RegisterAll(threads, backends, cohort_modes, router_modes);
   return tic::bench::RunBenchmarks(&argc, argv);

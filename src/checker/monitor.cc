@@ -719,17 +719,17 @@ Status Monitor::Compact() {
   cohorts_.clear();
   cohort_by_ts_.Clear();
   cohort_touch_.Clear();
+  touch_lists_.clear();
   atom_owner_.Clear();
   placement_.clear();
   dsu_parent_.clear();
   dsu_size_.clear();
-  dsu_min_.clear();
+  comp_.clear();
   num_joint_ = 0;
   num_cohort_slots_ = 0;
   cohorts_built_ = false;
   pa_.Reset();
   pa_shape_.clear();
-  pa_comp_ok_.clear();
   TIC_COUNTER_ADD("monitor/compactions", 1);
   TIC_RECORD(kEpochReset, time_base_, instances_.size(), 0);
   return Status::OK();
@@ -830,24 +830,27 @@ uint32_t Monitor::DsuFind(uint32_t i) {
   return i;
 }
 
-void Monitor::DsuUnion(uint32_t a, uint32_t b, size_t first_new, bool* demoted) {
+void Monitor::DsuUnion(uint32_t a, uint32_t b) {
   uint32_t ra = DsuFind(a);
   uint32_t rb = DsuFind(b);
   if (ra == rb) return;
-  // A pre-existing component is either a cohorted/inert singleton or a joint
-  // block, and dsu_min_ names one of its members — enough to see whether this
-  // merge pulls an already-cohorted instance out of letter-disjointness.
-  for (uint32_t r : {ra, rb}) {
-    if (dsu_min_[r] < first_new &&
-        (placement_[dsu_min_[r]] == Placement::kCohort ||
-         placement_[dsu_min_[r]] == Placement::kPointAlg)) {
-      *demoted = true;
-    }
-  }
   if (dsu_size_[ra] < dsu_size_[rb]) std::swap(ra, rb);
   dsu_parent_[rb] = ra;
   dsu_size_[ra] += dsu_size_[rb];
-  dsu_min_[ra] = std::min(dsu_min_[ra], dsu_min_[rb]);
+  Component& into = comp_[ra];
+  const Component& from = comp_[rb];
+  into.all_pa = into.all_pa && from.all_pa;
+  into.all_release = into.all_release && from.all_release;
+  into.placed |= from.placed;
+}
+
+Monitor::Placement Monitor::ComponentRule(uint32_t root) const {
+  const Component& c = comp_[root];
+  if (pa_routing_ && c.all_pa) return Placement::kPointAlg;
+  if (dsu_size_[root] == 1 || (pa_routing_ && c.all_release)) {
+    return Placement::kCohort;
+  }
+  return Placement::kJoint;
 }
 
 void Monitor::AtomsOf(ptl::Formula f) {
@@ -909,44 +912,39 @@ Result<uint32_t> Monitor::CohortCell(Cohort* ch, uint32_t state, uint32_t sig,
   return cell;
 }
 
-Result<Monitor::Placement> Monitor::PlaceOne(uint32_t idx) {
+Result<Monitor::Placement> Monitor::PlaceOne(uint32_t idx,
+                                             const ptl::AutomatonHandle& h) {
   ptl::Formula residual = instances_[idx].residual;
   if (residual->kind() == ptl::Kind::kTrue) return Placement::kInert;
-  if (residual->kind() == ptl::Kind::kFalse) return Placement::kJoint;
-  Result<ptl::AutomatonHandle> h = options_.automaton_cache->Get(
-      prop_factory_, residual, options_.tableau);
-  if (!h.ok()) {
-    // Budget blowups (non-safe formulas with huge covers) fall back to the
-    // joint residual graph, which only materializes visited states.
-    TIC_COUNTER_ADD("monitor/cohort_compile_fallbacks", 1);
+  if (residual->kind() == ptl::Kind::kFalse || h.ts == nullptr) {
     return Placement::kJoint;
   }
   uint32_t c;
-  if (const uint32_t* hit = cohort_by_ts_.Get(h->ts.get())) {
+  if (const uint32_t* hit = cohort_by_ts_.Get(h.ts.get())) {
     c = *hit;
   } else {
     c = static_cast<uint32_t>(cohorts_.size());
     cohorts_.push_back(Cohort{});
     Cohort& fresh = cohorts_.back();
-    fresh.ts = h->ts;
-    fresh.stride = static_cast<uint32_t>(h->letters.size());
+    fresh.ts = h.ts;
+    fresh.stride = static_cast<uint32_t>(h.letters.size());
     TIC_ASSIGN_OR_RETURN(fresh.zero_sig,
-                         h->ts->InternSignature(ptl::PropState{}, h->letters));
-    cohort_by_ts_.Emplace(h->ts.get(), c);
+                         h.ts->InternSignature(ptl::PropState{}, h.letters));
+    cohort_by_ts_.Emplace(h.ts.get(), c);
   }
   // Catch the new slot up through the stored word EXCLUDING the state just
   // appended: CohortStepAll applies the current letter to every slot after
   // placement, new and old alike. Renamed replays share the transition memo,
   // so N symmetric arrivals cost one miss-path walk plus N-1 memo hits per
   // past state.
-  uint32_t s = h->ts->initial();
+  uint32_t s = h.ts->initial();
   for (size_t j = 0; j < word_.size(); ++j) {
     // The final run contributes one repetition less: the current letter is
     // applied to every slot (new and old) by CohortStepAll after placement.
     uint64_t reps = word_[j].repeat - (j + 1 == word_.size() ? 1 : 0);
     for (uint64_t r = 0; r < reps; ++r) {
       TIC_ASSIGN_OR_RETURN(ptl::TransitionStep step,
-                           h->ts->Step(s, word_[j].w, h->letters));
+                           h.ts->Step(s, word_[j].w, h.letters));
       // Deterministic transitions: a self-loop is this run's fixpoint.
       if (step.next == s) break;
       s = step.next;
@@ -964,10 +962,9 @@ Result<Monitor::Placement> Monitor::PlaceOne(uint32_t idx) {
   ch.members.push_back(idx);
   ch.hot_count.push_back(0);
   ch.hot_pos.push_back(0);
-  for (ptl::PropId p : h->letters) {
+  for (ptl::PropId p : h.letters) {
     ch.letters.push_back(p);
-    // Letter-disjointness makes the owning slot unique.
-    cohort_touch_.Emplace(p, (static_cast<uint64_t>(c) << 32) | slot);
+    WatchLetter(p, (static_cast<uint64_t>(c) << 32) | slot);
     // Seed hot tracking from the current letter: flips before this placement
     // (including the full first-update build) happened without an owner.
     if (cur_letter_.Get(p) && ch.hot_count[slot]++ == 0) {
@@ -980,72 +977,49 @@ Result<Monitor::Placement> Monitor::PlaceOne(uint32_t idx) {
   return Placement::kCohort;
 }
 
+void Monitor::WatchLetter(ptl::PropId p, uint64_t owner) {
+  auto [e, inserted] = cohort_touch_.Emplace(p, owner);
+  if (inserted) return;
+  if ((e->second & kTouchList) != 0) {
+    touch_lists_[e->second & ~kTouchList].push_back(owner);
+    return;
+  }
+  // Second watcher: the letter moves from its single owner to a list.
+  flat::SmallVec<uint64_t, 4> owners;
+  owners.push_back(e->second);
+  owners.push_back(owner);
+  e->second = kTouchList | touch_lists_.size();
+  touch_lists_.push_back(std::move(owners));
+}
+
 Status Monitor::RebuildPlacements() {
-  // Letter-disjointness broke for some cohorted instance (a fresh element's
-  // residual shares atoms with it): recompute the whole partition. Rare by
-  // construction — only atom-sharing arrivals land here — and correct by
-  // simplicity: instances hold their checkpoint formulas, so demotion to the
-  // joint path needs no state surgery (the joint epoch replay catches demoted
-  // instances up from the checkpoint), and re-cohorted instances replay
-  // through the shared transition memo.
+  // A fresh instance joined a component whose placed members the rule would
+  // now move (a cohort or point-algebra component absorbed a member outside
+  // its fragment), or placements were dropped (first update, Compact,
+  // restore): recompute the whole partition. Correct by simplicity —
+  // instances hold their checkpoint formulas, so moving to the joint path
+  // needs no state surgery (the joint epoch replay catches demoted instances
+  // up from the checkpoint), and re-cohorted instances replay through the
+  // shared transition memo.
   TIC_SPAN("monitor.cohort_rebuild");
   TIC_COUNTER_ADD("monitor/cohort_rebuilds", 1);
   cohorts_.clear();
   cohort_by_ts_.Clear();
   cohort_touch_.Clear();
+  touch_lists_.clear();
   atom_owner_.Clear();
   num_joint_ = 0;
   num_cohort_slots_ = 0;
-  const size_t n = instances_.size();
-  placement_.assign(n, Placement::kJoint);
-  dsu_parent_.resize(n);
-  dsu_size_.assign(n, 1);
-  dsu_min_.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    dsu_parent_[i] = i;
-    dsu_min_[i] = i;
-  }
-  bool ignored = false;
-  for (uint32_t i = 0; i < n; ++i) {
-    AtomsOf(instances_[i].residual);
-    for (ptl::PropId p : atoms_scratch_) {
-      auto [e, inserted] = atom_owner_.Emplace(p, i);
-      if (!inserted) DsuUnion(i, e->second, n, &ignored);
-    }
-  }
-  // Point-algebra routing: a letter-connected component leaves the automaton
-  // machinery only when EVERY member matches the PA fragment — otherwise an
-  // unrouted member would progress against letters the backend also owns.
-  // Routed components may share atoms internally (the backend's watched
-  // counters don't care), which is exactly the case cohorts can't take.
-  size_t pa_routed = 0;
-  if (pa_routing_) {
-    pa_.Reset();
-    pa_shape_.assign(n, nullptr);
-    pa_comp_ok_.assign(n, 1);
-    for (uint32_t i = 0; i < n; ++i) {
-      pa_shape_[i] = pa_.ShapeOf(instances_[i].residual);
-      if (pa_shape_[i] == nullptr) pa_comp_ok_[DsuFind(i)] = 0;
-    }
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    Placement pl = Placement::kJoint;
-    if (pa_routing_ && pa_comp_ok_[DsuFind(i)] != 0) {
-      RoutePointAlg(i);
-      pl = Placement::kPointAlg;
-      ++pa_routed;
-    } else if (dsu_size_[DsuFind(i)] == 1) {
-      TIC_ASSIGN_OR_RETURN(pl, PlaceOne(i));
-    }
-    placement_[i] = pl;
-    if (pl == Placement::kJoint) ++num_joint_;
-  }
+  dsu_parent_.clear();
+  dsu_size_.clear();
+  comp_.clear();
+  placement_.clear();
+  pa_shape_.clear();
+  pa_.Reset();
+  // Nothing is placed yet, so nothing can have to move.
+  TIC_ASSIGN_OR_RETURN(bool placed, PlaceRange(0));
+  (void)placed;
   TIC_RECORD(kCohortRebuild, cohorts_.size(), num_cohort_slots_, num_joint_);
-  if (pa_routed > 0) {
-    size_t units = pa_.num_units();
-    TIC_RECORD(kRouteDecision, 1, pa_routed, units);
-    (void)units;
-  }
   return Status::OK();
 }
 
@@ -1059,6 +1033,86 @@ void Monitor::RoutePointAlg(uint32_t idx) {
   for (const WordEntry& e : word_) pa_.StepInstanceOn(idx, e.w);
 }
 
+Result<bool> Monitor::PlaceRange(size_t first) {
+  const uint32_t lo = static_cast<uint32_t>(first);
+  const uint32_t n = static_cast<uint32_t>(instances_.size());
+  dsu_parent_.resize(n);
+  dsu_size_.resize(n);
+  comp_.resize(n);
+  placement_.resize(n, Placement::kJoint);
+  if (pa_routing_) pa_shape_.resize(n, nullptr);
+  for (uint32_t i = lo; i < n; ++i) {
+    dsu_parent_[i] = i;
+    dsu_size_[i] = 1;
+    comp_[i] = Component{};
+    if (pa_routing_) {
+      pa_shape_[i] = pa_.ShapeOf(instances_[i].residual);
+      comp_[i].all_pa = pa_shape_[i] != nullptr;
+    }
+  }
+  for (uint32_t i = lo; i < n; ++i) {
+    AtomsOf(instances_[i].residual);
+    for (ptl::PropId p : atoms_scratch_) {
+      auto [e, inserted] = atom_owner_.Emplace(p, i);
+      if (!inserted) DsuUnion(i, e->second);
+    }
+  }
+  // Compile each instance the rule may still send to a cohort slot. Its
+  // shape's release bit joins its component's; a multi-member component
+  // leaves the cohort route at its first member outside the fragment, and
+  // its remaining members are not compiled.
+  std::vector<ptl::AutomatonHandle> handles(n - lo);
+  for (uint32_t i = lo; i < n; ++i) {
+    uint32_t r = DsuFind(i);
+    ptl::Kind k = instances_[i].residual->kind();
+    if (ComponentRule(r) != Placement::kCohort || k == ptl::Kind::kTrue ||
+        k == ptl::Kind::kFalse) {
+      continue;
+    }
+    Result<ptl::AutomatonHandle> h = options_.automaton_cache->Get(
+        prop_factory_, instances_[i].residual, options_.tableau);
+    if (!h.ok()) {
+      // Budget blowups (non-safe formulas with huge covers) fall back to the
+      // joint residual graph, which only materializes visited states.
+      TIC_COUNTER_ADD("monitor/cohort_compile_fallbacks", 1);
+      comp_[r].all_release = false;
+      continue;
+    }
+    if (!h->ts->release_fragment()) comp_[r].all_release = false;
+    handles[i - lo] = std::move(*h);
+  }
+  for (uint32_t i = lo; i < n; ++i) {
+    uint32_t r = DsuFind(i);
+    uint8_t allowed = uint8_t{1} << static_cast<uint8_t>(ComponentRule(r));
+    if ((comp_[r].placed & ~allowed) != 0) return false;
+  }
+  size_t pa_routed = 0;
+  size_t release_slots = 0;
+  for (uint32_t i = lo; i < n; ++i) {
+    uint32_t r = DsuFind(i);
+    Placement pl = ComponentRule(r);
+    if (pl == Placement::kPointAlg) {
+      RoutePointAlg(i);
+      ++pa_routed;
+    } else if (pl == Placement::kCohort) {
+      TIC_ASSIGN_OR_RETURN(pl, PlaceOne(i, handles[i - lo]));
+      if (pl == Placement::kCohort && dsu_size_[r] > 1) ++release_slots;
+    }
+    placement_[i] = pl;
+    comp_[r].placed |= uint8_t{1} << static_cast<uint8_t>(pl);
+    if (pl == Placement::kJoint) ++num_joint_;
+  }
+  if (pa_routed > 0) {
+    size_t units = pa_.num_units();
+    TIC_RECORD(kRouteDecision, 1, pa_routed, units);
+    (void)units;
+  }
+  if (release_slots > 0) {
+    TIC_RECORD(kRouteDecision, 3, release_slots, cohorts_.size());
+  }
+  return true;
+}
+
 Result<bool> Monitor::PlaceInstances(size_t first_new) {
   const size_t n = instances_.size();
   if (cohorts_built_ && first_new == n) return false;  // steady state: no-op
@@ -1069,51 +1123,10 @@ Result<bool> Monitor::PlaceInstances(size_t first_new) {
   }
   // Incremental path: extend the union-find with the fresh instances only.
   size_t joint_before = num_joint_;
-  dsu_parent_.resize(n);
-  dsu_size_.resize(n, 1);
-  dsu_min_.resize(n);
-  placement_.resize(n, Placement::kJoint);
-  for (uint32_t i = static_cast<uint32_t>(first_new); i < n; ++i) {
-    dsu_parent_[i] = i;
-    dsu_size_[i] = 1;
-    dsu_min_[i] = i;
-  }
-  bool demoted = false;
-  for (uint32_t i = static_cast<uint32_t>(first_new); i < n; ++i) {
-    AtomsOf(instances_[i].residual);
-    for (ptl::PropId p : atoms_scratch_) {
-      auto [e, inserted] = atom_owner_.Emplace(p, i);
-      if (!inserted) DsuUnion(i, e->second, first_new, &demoted);
-    }
-  }
-  if (demoted) {
+  TIC_ASSIGN_OR_RETURN(bool placed, PlaceRange(first_new));
+  if (!placed) {
     TIC_RETURN_NOT_OK(RebuildPlacements());
     return true;
-  }
-  if (pa_routing_) pa_shape_.resize(n, nullptr);
-  size_t pa_routed = 0;
-  for (uint32_t i = static_cast<uint32_t>(first_new); i < n; ++i) {
-    Placement pl = Placement::kJoint;
-    if (dsu_size_[DsuFind(i)] == 1) {
-      // New singletons route to the PA backend when they match the fragment;
-      // new multi-member components conservatively go joint (a rebuild would
-      // re-examine them, and arrivals that large are rare).
-      if (pa_routing_) pa_shape_[i] = pa_.ShapeOf(instances_[i].residual);
-      if (pa_routing_ && pa_shape_[i] != nullptr) {
-        RoutePointAlg(i);
-        pl = Placement::kPointAlg;
-        ++pa_routed;
-      } else {
-        TIC_ASSIGN_OR_RETURN(pl, PlaceOne(i));
-      }
-    }
-    placement_[i] = pl;
-    if (pl == Placement::kJoint) ++num_joint_;
-  }
-  if (pa_routed > 0) {
-    size_t units = pa_.num_units();
-    TIC_RECORD(kRouteDecision, 1, pa_routed, units);
-    (void)units;
   }
   return num_joint_ != joint_before;
 }
@@ -1121,8 +1134,19 @@ Result<bool> Monitor::PlaceInstances(size_t first_new) {
 uint64_t Monitor::OnLetterFlip(ptl::PropId p, bool value) {
   const uint64_t* packed = cohort_touch_.Get(p);
   if (packed == nullptr) return ~uint64_t{0};
-  Cohort& ch = cohorts_[*packed >> 32];
-  uint32_t slot = static_cast<uint32_t>(*packed & 0xFFFFFFFFu);
+  if ((*packed & kTouchList) == 0) {
+    FlipSlot(*packed, value);
+    return *packed;
+  }
+  const flat::SmallVec<uint64_t, 4>& owners =
+      touch_lists_[*packed & ~kTouchList];
+  for (uint64_t owner : owners) FlipSlot(owner, value);
+  return owners[0];
+}
+
+void Monitor::FlipSlot(uint64_t owner, bool value) {
+  Cohort& ch = cohorts_[owner >> 32];
+  uint32_t slot = static_cast<uint32_t>(owner & 0xFFFFFFFFu);
   if (value) {
     if (ch.hot_count[slot]++ == 0) {
       ch.hot_pos[slot] = static_cast<uint32_t>(ch.hot_slots.size());
@@ -1136,7 +1160,6 @@ uint64_t Monitor::OnLetterFlip(ptl::PropId p, bool value) {
     ch.hot_pos[last] = at;
     ch.hot_slots.pop_back();
   }
-  return *packed;
 }
 
 Status Monitor::CohortStepAll(const ptl::PropState& w, MonitorVerdict* verdict,

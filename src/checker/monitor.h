@@ -61,8 +61,10 @@ struct MonitorVerdict {
   /// injected through CheckOptions (batch/trigger-level sharing).
   ptl::AutomatonCacheStats automaton_cache_stats;
   /// Cohort lockstep stepping (CheckOptions::cohort_stepping): number of
-  /// letter-disjoint cohorts and the instances stepped through them in
-  /// structure-of-arrays form. Instances sharing ground atoms still step
+  /// cohorts and the instances stepped through them in structure-of-arrays
+  /// form. A slot is either letter-disjoint from every other instance or,
+  /// with the router on, a member of an atom-sharing component that lies
+  /// wholly in the release fragment. Other atom-sharing instances step
   /// through the joint residual graph and are not counted here.
   size_t num_cohorts = 0;
   size_t num_cohort_instances = 0;
@@ -425,12 +427,20 @@ class Monitor {
   // overwhelming steady-state majority — share the all-false signature, so a
   // transaction that touches none of a cohort's letters advances the whole
   // cohort with one table row gather (or one cell read when all slots sit in
-  // the same state). Instances that DO share atoms keep the exact joint
-  // residual-graph path below.
+  // the same state).
+  //
+  // Instances that DO share atoms take a cohort slot each too when the router
+  // is on and every member of their letter-connected component is in the
+  // release fragment (TransitionSystem::release_fragment): after the current
+  // letter L every live member is satisfied by L^omega, so the component is
+  // live iff every slot is, with no joint automaton and no tableau. The
+  // remaining atom-sharing components keep the exact joint residual-graph
+  // path below. One rule places every component (ComponentRule).
   enum class Placement : uint8_t {
-    kJoint,     // steps through the joint residual graph (shares atoms, or
-                // compile fell back: budget blowup, false residual)
-    kCohort,    // letter-disjoint, stepped in SoA lockstep
+    kJoint,     // steps through the joint residual graph (shares atoms outside
+                // the release fragment, or compile fell back: budget blowup,
+                // false residual)
+    kCohort,    // letter-disjoint or release-fragment, stepped in SoA lockstep
     kInert,     // residual is `true`: never violated, nothing to step
     kPointAlg,  // point-algebra fragment (CheckOptions::router): stepped by
                 // the watched-literal PointBackend, no automaton at all
@@ -473,17 +483,30 @@ class Monitor {
   bool cohorts_built_ = false;
   size_t num_joint_ = 0;         // instances with Placement::kJoint
   size_t num_cohort_slots_ = 0;  // instances with Placement::kCohort
-  // PropId -> packed (cohort << 32 | slot). Letter-disjointness makes the
-  // owner unique, so routing a letter flip to its hot slot is one probe.
+  // Letter watch lists: PropId -> packed (cohort << 32 | slot) of the one
+  // slot watching it — a letter-disjoint slot's letters have exactly one
+  // owner, so routing their flips is one probe — or, with kTouchList set,
+  // an index into touch_lists_ naming every slot of a release-fragment
+  // component that watches the letter.
   flat::FlatMap<ptl::PropId, uint64_t> cohort_touch_;
+  std::vector<flat::SmallVec<uint64_t, 4>> touch_lists_;
+  static constexpr uint64_t kTouchList = uint64_t{1} << 63;
   std::vector<uint32_t> gather_scratch_;  // per-cohort cell buffer, kept warm
   // Persistent union-find over instance indices, keyed by shared atoms:
   // atom_owner_ maps each residual atom to the first instance that mentioned
-  // it, dsu_min_ tracks the lowest member index per component (placement_ of
-  // that member tells whether a merge demotes a cohorted instance).
+  // it. comp_ (valid at roots) holds what ComponentRule reads: whether every
+  // member matches a point-algebra shape, whether every member compiled to a
+  // release-fragment shape (members not compiled yet count as in), and the
+  // placements its already-placed members hold — a merge that would move
+  // one of them forces a rebuild.
   std::vector<uint32_t> dsu_parent_;
   std::vector<uint32_t> dsu_size_;
-  std::vector<uint32_t> dsu_min_;
+  struct Component {
+    bool all_pa = false;
+    bool all_release = true;
+    uint8_t placed = 0;  // bitmask over Placement values
+  };
+  std::vector<Component> comp_;
   flat::FlatMap<ptl::PropId, uint32_t> atom_owner_;
   uint64_t cohort_steps_ = 0;       // slots advanced, lifetime
   uint64_t cohort_table_hits_ = 0;  // slots answered by the dense table
@@ -491,40 +514,54 @@ class Monitor {
 
   // Tractable-fragment router (CheckOptions::router). Point-algebra-fragment
   // instances (whole letter-connected components only) step through this
-  // watched-literal backend instead of any automaton; pa_routing_ caches
+  // watched-literal backend instead of any automaton, and atom-sharing
+  // release-fragment components step as cohort slots; pa_routing_ caches
   // whether the router is active for this monitor. When the constraint is a
   // closed `G A` with A past (and no universal prefix), the whole monitor
   // delegates to past_ instead and none of the machinery above runs.
   PointBackend pa_;
   bool pa_routing_ = false;
   std::vector<const ptl::PaShape*> pa_shape_;  // per instance, null = no match
-  std::vector<uint8_t> pa_comp_ok_;  // per DSU root: every member in fragment
   std::unique_ptr<past::PastMonitor> past_;
 
   // Registers instance `idx` (shape already in pa_shape_) with the PA backend
   // and catches it up through the stored word, current letter included.
   void RoutePointAlg(uint32_t idx);
 
-  // Routes one current-letter value change to its owning cohort slot's hot
-  // count (no-op for letters no cohort owns). Called for every flip the
-  // incremental letter update detects. Returns the packed
-  // `cohort << 32 | slot` owner, or ~0 when no cohort owns the letter —
+  // Routes one current-letter value change to the hot count of every cohort
+  // slot watching the letter (no-op for letters no cohort watches). Called
+  // for every flip the incremental letter update detects. Returns the packed
+  // `cohort << 32 | slot` of the letter's first watcher, or ~0 when none —
   // the flight recorder logs it with the flip.
   uint64_t OnLetterFlip(ptl::PropId p, bool value);
+  void FlipSlot(uint64_t owner, bool value);
+  // Adds `owner` (packed cohort << 32 | slot) to letter p's watch list.
+  void WatchLetter(ptl::PropId p, uint64_t owner);
 
   uint32_t DsuFind(uint32_t i);
-  // Unions the components of `a` and `b`; sets *demoted when the merged
-  // component absorbs a previously cohorted instance (slow-path trigger).
-  void DsuUnion(uint32_t a, uint32_t b, size_t first_new, bool* demoted);
+  // Unions the components of `a` and `b`, merging their Component facts.
+  void DsuUnion(uint32_t a, uint32_t b);
+  // The one placement rule, per letter-connected component: point-algebra if
+  // every member matches (router on), else a cohort slot per member if the
+  // component is a singleton or (router on) wholly in the release fragment,
+  // else the joint residual graph.
+  Placement ComponentRule(uint32_t root) const;
   // Distinct residual atoms of `f` into atoms_scratch_ (explicit stack).
   void AtomsOf(ptl::Formula f);
-  // Places instances [first_new, instances_.size()): extends the union-find,
-  // appends still-singleton instances to cohorts (replaying word_ minus the
-  // current state), and routes the rest to the joint path. A merge that
-  // demotes a cohorted instance rebuilds all placements from scratch.
-  // Returns true when joint membership changed (epoch reset needed).
+  // Places instances [first_new, instances_.size()): extends the union-find
+  // and places each fresh instance by its component's rule, appending cohort
+  // slots (replaying word_ minus the current state) and point-algebra
+  // instances without touching placed ones. A merge that would move a placed
+  // instance rebuilds all placements from scratch. Returns true when joint
+  // membership changed (epoch reset needed).
   Result<bool> PlaceInstances(size_t first_new);
-  Result<Placement> PlaceOne(uint32_t idx);
+  // PlaceInstances' body over [first, instances_.size()); false, with
+  // nothing placed, when a placed instance would have to move.
+  Result<bool> PlaceRange(size_t first);
+  // Appends instance idx to its shape's cohort through its compiled handle
+  // (kInert for a `true` residual, kJoint for `false` or a failed compile,
+  // whose handle has a null `ts`).
+  Result<Placement> PlaceOne(uint32_t idx, const ptl::AutomatonHandle& h);
   Status RebuildPlacements();
   // Advances every cohort through `w`; *all_live = AND of per-slot liveness.
   Status CohortStepAll(const ptl::PropState& w, MonitorVerdict* verdict,

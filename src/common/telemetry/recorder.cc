@@ -114,6 +114,16 @@ const char* EventTypeName(EventType t) {
   return "?";
 }
 
+const char* RouteBackendName(uint64_t code) {
+  switch (code) {
+    case 0: return "automaton";
+    case 1: return "pointalg";
+    case 2: return "past";
+    case 3: return "release";
+    default: return "unknown";
+  }
+}
+
 void SetRecorderEnabled(bool on) {
   recorder_internal::g_recorder_enabled.store(on, std::memory_order_relaxed);
 }

@@ -48,7 +48,9 @@ namespace telemetry {
 enum class EventType : uint32_t {
   kNone = 0,
   kTxnApplied,        // a = time t, b = op count, c = instance count
-  kLetterFlip,        // a = PropId, b = new value, c = cohort<<32|slot (~0 none)
+  kLetterFlip,        // a = PropId, b = new value, c = cohort<<32|slot (~0 none);
+                      // a letter watched by several slots (an atom-sharing
+                      // release cohort) logs only its first watcher
   kCohortRebuild,     // a = cohort count, b = cohort slots, c = joint instances
   kCohortMinimize,    // a = collapsed sets, b = sets after, c = cohort index
   kEpochReset,        // a = time t, b = instance count, c = stored word runs
@@ -56,8 +58,10 @@ enum class EventType : uint32_t {
   kVerdictChange,     // a = time t, b = potentially-satisfied 0/1, c = instances
   kMemoSpill,         // a = new state id, b = memo size, c = letter signature id
   kWatchdogFire,      // a = open-update elapsed ns, b = deadline ms, c = op seq
-  kRouteDecision,     // a = backend (1 pointalg, 2 past, 0 automaton),
-                      // b = instances routed, c = units/tables compiled
+  kRouteDecision,     // a = backend (1 pointalg, 2 past, 3 release,
+                      // 0 automaton), b = instances routed (release: slots
+                      // placed), c = units/tables compiled (release: cohorts
+                      // in use)
   kFragmentStep,      // a = backend (1 pointalg, 2 past), b = items touched,
                       // c = TSC tick delta of the fragment step
   kMaxEventType,      // sentinel, not a real event
@@ -65,6 +69,10 @@ enum class EventType : uint32_t {
 
 /// Stable lower_snake name ("txn_applied", ...); "?" for out-of-range values.
 const char* EventTypeName(EventType t);
+
+/// Name of a kRouteDecision / kFragmentStep backend code ("automaton",
+/// "pointalg", "past", "release"); "unknown" for any other value.
+const char* RouteBackendName(uint64_t code);
 
 /// One decoded event, as returned by snapshots and dump loaders. `seq` is
 /// per-thread (1-based); (tid, seq) is unique, global order is by `ts_ns`.

@@ -1,5 +1,6 @@
 #include "ptl/safety.h"
 
+#include <initializer_list>
 #include <unordered_set>
 #include <vector>
 
@@ -15,14 +16,16 @@ namespace {
 
 // Iterative (explicit worklist) so arbitrarily deep formulas cannot overflow
 // the native stack; the visited set keeps shared DAG nodes from re-expanding.
-bool NnfHasKind(Formula f, Kind k1, Kind k2) {
+bool NnfHasKind(Formula f, std::initializer_list<Kind> kinds) {
   std::vector<Formula> stack{f};
   std::unordered_set<Formula> seen;
   while (!stack.empty()) {
     Formula g = stack.back();
     stack.pop_back();
     if (!seen.insert(g).second) continue;
-    if (g->kind() == k1 || g->kind() == k2) return true;
+    for (Kind k : kinds) {
+      if (g->kind() == k) return true;
+    }
     if (g->child(0) != nullptr) stack.push_back(g->child(0));
     if (g->child(1) != nullptr) stack.push_back(g->child(1));
   }
@@ -30,17 +33,22 @@ bool NnfHasKind(Formula f, Kind k1, Kind k2) {
 }
 
 bool NnfHasEventuality(Formula f) {
-  return NnfHasKind(f, Kind::kUntil, Kind::kEventually);
+  return NnfHasKind(f, {Kind::kUntil, Kind::kEventually});
 }
 
 bool NnfHasUniversality(Formula f) {
-  return NnfHasKind(f, Kind::kRelease, Kind::kAlways);
+  return NnfHasKind(f, {Kind::kRelease, Kind::kAlways});
 }
 
 }  // namespace
 
 bool IsSyntacticallySafe(Factory* factory, Formula f) {
   return !NnfHasEventuality(ToNnf(factory, f));
+}
+
+bool IsReleaseFragment(Factory* factory, Formula f) {
+  return !NnfHasKind(ToNnf(factory, f),
+                     {Kind::kUntil, Kind::kEventually, Kind::kNext});
 }
 
 bool IsSyntacticallyCoSafe(Factory* factory, Formula f) {

@@ -18,6 +18,20 @@ namespace ptl {
 /// the checker uses this test after grounding).
 bool IsSyntacticallySafe(Factory* factory, Formula f);
 
+/// \brief The release fragment: negation normal form built from literals with
+/// And, Or, Release and Always only — syntactically safe and X-free.
+///
+/// On this fragment Lemma 4.2's satisfiability test collapses: a residual
+/// that has just consumed a letter L is satisfiable iff it is not `false`,
+/// and L repeated forever is a model (by induction: progression turns a
+/// literal into `true` only when L satisfies it, and on the constant word
+/// L^omega an R or a G holds iff its right side holds at position 0). One
+/// witness serves every formula that consumed the same L, so satisfiability
+/// of a conjunction factors into its conjuncts' verdicts even when they share
+/// atoms. Next breaks the argument: after {p, q}, `G (p -> X G !p)` and
+/// `G (q -> X p)` are each satisfiable but their conjunction is not.
+bool IsReleaseFragment(Factory* factory, Formula f);
+
 /// \brief Sound syntactic *liveness*-shape test: NNF built from True plus
 /// Until/Eventually/Next over liveness shapes; used in tests to demonstrate
 /// the safety/liveness dichotomy of Section 2.

@@ -482,6 +482,7 @@ Result<std::shared_ptr<TransitionSystem>> TransitionSystem::Compile(
   Rep& r = *ts->rep_;
   r.BuildAlphabet();
   r.safe = ts->safe_ = IsSyntacticallySafe(factory, nnf);
+  ts->release_fragment_ = ts->safe_ && IsReleaseFragment(factory, nnf);
 
   if (cf.has_value()) {
     std::unordered_map<PropId, uint32_t> inverse;

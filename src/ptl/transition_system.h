@@ -115,6 +115,13 @@ class TransitionSystem {
   /// True when the compiled formula was syntactically safe (lazy mode).
   bool safe() const { return safe_; }
 
+  /// True when the compiled formula is in the release fragment (safe and
+  /// X-free, ptl::IsReleaseFragment): after any letter L its state-sets are
+  /// live iff L^omega satisfies the residual, so liveness bits of systems
+  /// stepped through the same word may be ANDed across shared atoms.
+  /// Classified once per compiled shape, from the same NNF as safe().
+  bool release_fragment() const { return release_fragment_; }
+
   /// Pushes one letter: survivors of `set_id` under `letter`, their successor
   /// union, and the liveness verdict. Memoized on (set id, letter signature).
   /// `letters` maps canonical letter indices to the caller's PropIds (use
@@ -180,6 +187,7 @@ class TransitionSystem {
   mutable std::mutex mu_;
   uint32_t initial_set_ = 0;
   bool safe_ = false;
+  bool release_fragment_ = false;
   std::vector<PropId> default_letters_;
   /// Keeps the compiling factory (and so every node the closure references)
   /// alive when the system is shared beyond the caller's scope. Null for the

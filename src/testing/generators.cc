@@ -117,6 +117,48 @@ fotl::Formula CaseBuilder::GenSafe(Entropy* ent, size_t num_vars, int depth) {
   }
 }
 
+fotl::Formula CaseBuilder::GenCoRelease(Entropy* ent, size_t num_vars,
+                                        int depth) {
+  if (depth <= 0) {
+    return *factory_->Atom(preds_[ent->Below(static_cast<uint32_t>(preds_.size()))],
+                           {Var(ent->Below(static_cast<uint32_t>(num_vars)))});
+  }
+  switch (ent->Below(4)) {
+    case 0:
+      return factory_->And(GenCoRelease(ent, num_vars, depth - 1),
+                           GenCoRelease(ent, num_vars, depth - 1));
+    case 1:
+      return factory_->Or(GenCoRelease(ent, num_vars, depth - 1),
+                          GenCoRelease(ent, num_vars, depth - 1));
+    case 2:
+      return factory_->Until(GenCoRelease(ent, num_vars, depth - 1),
+                             GenCoRelease(ent, num_vars, depth - 1));
+    default:
+      return factory_->Eventually(GenCoRelease(ent, num_vars, depth - 1));
+  }
+}
+
+fotl::Formula CaseBuilder::GenRelease(Entropy* ent, size_t num_vars, int depth) {
+  if (depth <= 0) return Lit(ent, num_vars);
+  switch (ent->Below(6)) {
+    case 0:
+      return Lit(ent, num_vars);
+    case 1:
+      return factory_->And(GenRelease(ent, num_vars, depth - 1),
+                           GenRelease(ent, num_vars, depth - 1));
+    case 2:
+      return factory_->Or(GenRelease(ent, num_vars, depth - 1),
+                          GenRelease(ent, num_vars, depth - 1));
+    case 3:
+      return factory_->Always(GenRelease(ent, num_vars, depth - 1));
+    case 4:
+      return factory_->Implies(LitConj(ent, num_vars),
+                               GenRelease(ent, num_vars, depth - 1));
+    default:
+      return factory_->Not(GenCoRelease(ent, num_vars, depth - 1));
+  }
+}
+
 fotl::Formula CaseBuilder::Quantify(fotl::Formula matrix, size_t num_vars) {
   fotl::Formula phi = matrix;
   for (size_t i = num_vars; i-- > 0;) {
@@ -200,6 +242,24 @@ FotlCase GenerateSafetyCase(Entropy* ent, const SafetyCaseOptions& options) {
     if (options.fresh_element >= 0 && t >= len / 2) {
       universe.push_back(options.fresh_element);
     }
+    stream.push_back(ChurnTxn(ent, builder.preds(), universe));
+  }
+  return builder.Finish(phi, num_vars, std::move(stream));
+}
+
+FotlCase GenerateReleaseCase(Entropy* ent) {
+  CaseBuilder builder(2 + ent->Below(2));
+  const size_t num_vars = 2;
+  fotl::Formula matrix =
+      builder.GenRelease(ent, num_vars, 2 + static_cast<int>(ent->Below(3)));
+  fotl::Formula phi = builder.Quantify(builder.factory()->Always(matrix), num_vars);
+  size_t len = 10 + ent->Below(7);
+  std::vector<Transaction> stream;
+  stream.reserve(len);
+  for (size_t t = 0; t < len; ++t) {
+    std::vector<Value> universe = {1, 2, 3};
+    if (t >= len / 3) universe.push_back(4);
+    if (t >= 2 * len / 3) universe.push_back(5);
     stream.push_back(ChurnTxn(ent, builder.preds(), universe));
   }
   return builder.Finish(phi, num_vars, std::move(stream));

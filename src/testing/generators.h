@@ -83,6 +83,12 @@ class CaseBuilder {
 
   /// Safe grammar: every production stays syntactically safe after NNF.
   fotl::Formula GenSafe(Entropy* ent, size_t num_vars, int depth);
+  /// GenCosafe without Next: its negation is in the release fragment.
+  fotl::Formula GenCoRelease(Entropy* ent, size_t num_vars, int depth);
+  /// Release-fragment grammar: GenSafe without Next, so every production's
+  /// grounding NNFs to literals under And, Or, Release and Always
+  /// (ptl::IsReleaseFragment).
+  fotl::Formula GenRelease(Entropy* ent, size_t num_vars, int depth);
 
   /// Wraps `matrix` in the universal prefix forall x (y) . matrix.
   fotl::Formula Quantify(fotl::Formula matrix, size_t num_vars);
@@ -136,6 +142,13 @@ struct SafetyCaseOptions {
 /// entry point behind the property suites (seed mode) and fuzz_monitor_diff
 /// (byte mode).
 FotlCase GenerateSafetyCase(Entropy* ent, const SafetyCaseOptions& options = {});
+
+/// \brief A closed 2-variable release-fragment sentence
+/// `forall x y . G matrix` (CaseBuilder::GenRelease, depth 2-4, 2-3
+/// predicates), so its grounded instances share atoms, with a churn stream of
+/// 10-16 updates over universe {1,2,3} in which elements 4 and 5 arrive at
+/// one third and two thirds of the stream.
+FotlCase GenerateReleaseCase(Entropy* ent);
 
 /// \brief An open existential-fragment trigger condition (free variable "x")
 /// over a fresh 2-predicate vocabulary, plus a churn stream: the input shape

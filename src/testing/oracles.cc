@@ -146,15 +146,19 @@ Result<OracleResult> CohortConfigsAgree(const FotlCase& c) {
   return OracleResult{};
 }
 
-Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed) {
+Result<OracleResult> RouterConfigsAgree(const FotlCase& c,
+                                        const RouterDiffOptions& options,
+                                        RouterDiffCounts* counts) {
   // Four independent constructions of the same per-update verdict sequence:
   // the literal progression procedure, the automaton path with the router
   // off, the router's default configuration, and the router with the past
   // route forced (which only engages when the sentence is always-past; on
-  // anything else it degenerates to the default router).
+  // anything else it degenerates to the default router). Optionally a fifth:
+  // the lazy (weak) verdict, which must coincide on the release fragment.
   struct Config {
     const char* name;
     checker::CheckOptions opts;
+    checker::MonitorMode mode = checker::MonitorMode::kEager;
   };
   std::vector<Config> configs(4);
   configs[0].name = "progression";
@@ -166,14 +170,18 @@ Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed) {
   configs[3].name = "router+force-past";
   configs[3].opts.router = true;
   configs[3].opts.router_force_past = true;
+  if (options.lazy_equals_eager) {
+    configs.push_back(Config{"lazy", {}, checker::MonitorMode::kLazy});
+  }
 
   std::vector<std::unique_ptr<checker::Monitor>> monitors;
   for (const Config& cfg : configs) {
-    TIC_ASSIGN_OR_RETURN(
-        auto m, checker::Monitor::Create(c.factory, c.sentence, {}, cfg.opts));
+    TIC_ASSIGN_OR_RETURN(auto m, checker::Monitor::Create(c.factory, c.sentence,
+                                                          {}, cfg.opts, cfg.mode));
     monitors.push_back(std::move(m));
   }
   size_t max_routed = 0;
+  RouterDiffCounts peak;
   for (size_t t = 0; t < c.stream.size(); ++t) {
     TIC_ASSIGN_OR_RETURN(auto ref, monitors[0]->ApplyTransaction(c.stream[t]));
     for (size_t i = 1; i < monitors.size(); ++i) {
@@ -194,15 +202,27 @@ Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed) {
                         " instances at t=" + std::to_string(t),
                     c);
       }
-      if (i == 2) max_routed = std::max(max_routed, v.num_pointalg_instances);
+      if (i == 1) {
+        peak.cohort_slots_off =
+            std::max(peak.cohort_slots_off, v.num_cohort_instances);
+      }
+      if (i == 2) {
+        max_routed = std::max(max_routed, v.num_pointalg_instances);
+        peak.cohort_slots_on =
+            std::max(peak.cohort_slots_on, v.num_cohort_instances);
+      }
+      if (options.compact_every > 0 && (t + 1) % options.compact_every == 0) {
+        TIC_RETURN_NOT_OK(monitors[i]->Compact());
+      }
     }
   }
-  if (max_routed < min_routed) {
+  if (max_routed < options.min_routed) {
     return Fail("router-on monitor routed only " + std::to_string(max_routed) +
                     " point-algebra instances (suite expects >= " +
-                    std::to_string(min_routed) + ")",
+                    std::to_string(options.min_routed) + ")",
                 c);
   }
+  if (counts != nullptr) *counts = peak;
   return OracleResult{};
 }
 

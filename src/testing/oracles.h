@@ -74,15 +74,38 @@ Result<OracleResult> PrefixClosureHolds(const FotlCase& c);
 Result<OracleResult> RenamingInvariant(const FotlCase& c,
                                        const std::function<Value(Value)>& perm);
 
+/// \brief Knobs of RouterConfigsAgree.
+struct RouterDiffOptions {
+  /// Fails unless the router-on monitor reports at least this many
+  /// point-algebra instances at some update (guards against the suite
+  /// silently testing nothing when a generator drifts out of the fragment).
+  size_t min_routed = 0;
+  /// Every monitor but the progression reference runs Compact() after each
+  /// `compact_every`-th update (0: never).
+  size_t compact_every = 0;
+  /// Also runs a MonitorMode::kLazy monitor (compacted like the others) and
+  /// fails unless its verdict equals the reference's at every update: the
+  /// Lipeck–Saake weak verdict is exact on the release fragment.
+  bool lazy_equals_eager = false;
+};
+
+/// \brief Peak cohort slots (MonitorVerdict::num_cohort_instances over the
+/// stream) of the router-on and router-off monitors, for coverage guards.
+struct RouterDiffCounts {
+  size_t cohort_slots_on = 0;
+  size_t cohort_slots_off = 0;
+};
+
 /// \brief Router-configuration equality: the tractable-fragment router
-/// (point-algebra backend for matching components, forced past route where
-/// the sentence allows it) must produce exactly the per-update verdicts of
-/// the router-off automaton path and of the literal progression baseline, on
-/// every transaction of the case. When `min_routed > 0`, additionally fails
-/// unless the router-on monitor reports at least that many point-algebra
-/// instances by the final update (guards against the suite silently testing
-/// nothing when a generator drifts out of the fragment).
-Result<OracleResult> RouterConfigsAgree(const FotlCase& c, size_t min_routed = 0);
+/// (point-algebra backend for matching components, release cohorts for
+/// atom-sharing release-fragment components, forced past route where the
+/// sentence allows it) must produce exactly the per-update verdicts of the
+/// router-off automaton path and of the literal progression baseline, on
+/// every transaction of the case. `counts`, when given, receives the peak
+/// cohort slot counts.
+Result<OracleResult> RouterConfigsAgree(const FotlCase& c,
+                                        const RouterDiffOptions& options = {},
+                                        RouterDiffCounts* counts = nullptr);
 
 /// \brief Trigger duality (Section 2): the trigger for condition C fires at t
 /// for substitution theta iff !C(theta) is NOT potentially satisfied. Runs

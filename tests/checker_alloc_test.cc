@@ -204,6 +204,77 @@ TEST_F(AllocCountTest, SteadyStateStepWithRecorderEnabledAllocatesNothing) {
 #endif
 }
 
+// The zero-allocation bound for release cohorts (atom-sharing components of
+// release-fragment instances, one cohort slot each): a fifo monitor over 4
+// recycled orders puts its 12 order pairs on slots of one cohort, and each
+// order's Sub/Fill letters are watched by the 6 slots of the pairs that
+// mention it, so every measured update routes flips through multi-slot watch
+// lists and re-steps about 10 hot slots. The database layer deep-copies the
+// state on every non-empty transaction; a shadow History fed the same
+// transactions measures that cost, and the monitor must add nothing to it.
+TEST_F(AllocCountTest, SteadyStateReleaseCohortFlipsAllocateNothing) {
+  ASSERT_TRUE(testing::AllocCountingAvailable());
+  auto fifo = *fotl::Parse(
+      fac_.get(),
+      "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) until "
+      "(Sub(y) & ((!Fill(x)) until (Fill(y) & !Fill(x))))))");
+  auto m = *Monitor::Create(fac_, fifo);
+  ASSERT_TRUE(m->options().router);
+  History shadow = *History::Create(vocab_);
+
+  // Order t % 4 + 1 is submitted at t and filled at t + 1 (the
+  // BM_Fifo_MonitorPerUpdate stream): first come, first served.
+  const Value n = 4;
+  auto txn = [&](size_t t) {
+    Transaction out;
+    out.push_back(UpdateOp::Insert(sub_, {static_cast<Value>(t % n) + 1}));
+    if (t > 0) {
+      Value prev = static_cast<Value>((t - 1) % n) + 1;
+      out.push_back(UpdateOp::Insert(fill_, {prev}));
+      out.push_back(UpdateOp::Delete(sub_, {prev}));
+    }
+    if (t > 1) {
+      out.push_back(
+          UpdateOp::Delete(fill_, {static_cast<Value>((t - 2) % n) + 1}));
+    }
+    return out;
+  };
+  // Warm-up: 150 updates leave the word and both histories between two
+  // capacity doublings for the whole measured window.
+  size_t t = 0;
+  for (; t < 150; ++t) {
+    Transaction x = txn(t);
+    ASSERT_TRUE(tic::ApplyTransaction(&shadow, x).ok());
+    auto v = m->ApplyTransaction(x);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    ASSERT_TRUE(v->potentially_satisfied) << "t=" << t;
+  }
+  ASSERT_EQ(m->last_verdict().num_cohort_instances, 12u)
+      << "the fifo pairs must sit on release cohort slots";
+  std::vector<Transaction> window_txns;
+  for (size_t i = 0; i < 20; ++i) window_txns.push_back(txn(t + i));
+
+  testing::ResetAllocCounts();
+  uint64_t db_allocs = 0;
+  uint64_t monitor_allocs = 0;
+  for (const Transaction& x : window_txns) {
+    {
+      testing::AllocWindow window;
+      ASSERT_TRUE(tic::ApplyTransaction(&shadow, x).ok());
+      db_allocs += window.allocations();
+    }
+    testing::AllocWindow window;
+    auto v = m->ApplyTransaction(x);
+    monitor_allocs += window.allocations();
+    ASSERT_TRUE(v.ok());
+    ASSERT_TRUE(v->potentially_satisfied);
+  }
+  EXPECT_GT(db_allocs, 0u);  // the shadow really measures the state copies
+  EXPECT_EQ(monitor_allocs, db_allocs)
+      << "warmed release-cohort updates must allocate nothing beyond the "
+         "database state copy";
+}
+
 // Cohort growth is O(delta), not O(population): appending one fresh element
 // to a warmed 32-instance cohort late in the run must cost no more
 // allocations than the same append early — no table rebuilds, no placement

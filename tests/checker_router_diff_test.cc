@@ -8,7 +8,7 @@
 // configuration, and the router with the past route forced — and fails on
 // any sat/violated divergence.
 //
-// Three families:
+// Four families:
 //   A. Random safe sentences (1 and 2 variables) over churn streams with a
 //      fresh element arriving mid-stream: most matrices fall OUTSIDE the
 //      point-algebra fragment, so the router must leave them byte-identical
@@ -24,6 +24,12 @@
 //      Theorem 4.2 potential-satisfaction verdict and the classical G-past
 //      verdict provably coincide, checked three ways (progression, automaton,
 //      forced past evaluator).
+//   D. Random 2-variable release-fragment sentences (X-free and safe), so
+//      grounded instances share atoms and the router steps whole
+//      letter-connected components as cohort slots, ANDing their live bits.
+//      Two fresh elements arrive mid-stream and every monitor compacts every
+//      5 updates; the lazy (Lipeck–Saake) verdict must equal the eager one at
+//      every update, which the release fragment guarantees.
 //
 // Failure messages carry the full reproducer; re-run one case with
 // TIC_REPLAY_SEED=<c>.
@@ -35,6 +41,8 @@
 #include <vector>
 
 #include "checker/monitor.h"
+#include "common/telemetry/recorder.h"
+#include "fotl/parser.h"
 #include "testing/generators.h"
 #include "testing/oracles.h"
 #include "testing/reproducer.h"
@@ -46,8 +54,9 @@ namespace {
 namespace tt = tic::testing;
 
 void ExpectRouterConfigsAgree(const tt::FotlCase& kase, const std::string& label,
-                              size_t min_routed = 0) {
-  auto r = tt::RouterConfigsAgree(kase, min_routed);
+                              const tt::RouterDiffOptions& options = {},
+                              tt::RouterDiffCounts* counts = nullptr) {
+  auto r = tt::RouterConfigsAgree(kase, options, counts);
   ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString()
                       << "\nreproducer:\n" << tt::SerializeCase(kase);
   ASSERT_TRUE(r->pass) << label << ": " << r->detail;
@@ -79,8 +88,9 @@ TEST(RouterDiffTest, QtcnCasesRouteAndAgree) {
     if (replay && *replay != static_cast<uint64_t>(c)) continue;
     tt::Entropy ent(0x85ebca6bu + static_cast<uint32_t>(c));
     tt::QtcnCase kase = tt::GenerateQtcnCase(&ent);
-    ExpectRouterConfigsAgree(kase.fotl, "caseB#" + std::to_string(c),
-                             /*min_routed=*/1);
+    tt::RouterDiffOptions options;
+    options.min_routed = 1;
+    ExpectRouterConfigsAgree(kase.fotl, "caseB#" + std::to_string(c), options);
   }
 }
 
@@ -139,6 +149,182 @@ TEST(RouterDiffTest, PureFoMatricesAgreeWithForcedPastRoute) {
     EXPECT_EQ(v->backend, MonitorBackend::kPastStateless)
         << "caseC#" << c << " did not take the past route";
   }
+}
+
+TEST(RouterDiffTest, ReleaseFragmentComponentsAgreeUnderCompaction) {
+  // Family D: 400 random 2-variable release-fragment sentences. Coverage
+  // guard, as family B's: the family fails unless the router placed more
+  // cohort slots than the router-off monitor, i.e. atom-sharing components
+  // actually took the release route instead of the joint residual graph.
+  constexpr int kCases = 400;
+  auto replay = tt::ReplaySeedFromEnv();
+  tt::RouterDiffOptions options;
+  options.compact_every = 5;
+  options.lazy_equals_eager = true;
+  size_t slots_on = 0;
+  size_t slots_off = 0;
+  for (int c = 0; c < kCases; ++c) {
+    if (replay && *replay != static_cast<uint64_t>(c)) continue;
+    tt::Entropy ent(0x27d4eb2fu + static_cast<uint32_t>(c));
+    tt::FotlCase kase = tt::GenerateReleaseCase(&ent);
+    tt::RouterDiffCounts counts;
+    ExpectRouterConfigsAgree(kase,
+                             "caseD#" + std::to_string(c) +
+                                 " (re-run with TIC_REPLAY_SEED=" +
+                                 std::to_string(c) + ")",
+                             options, &counts);
+    slots_on += counts.cohort_slots_on;
+    slots_off += counts.cohort_slots_off;
+  }
+  if (!replay) {
+    EXPECT_GT(slots_on, slots_off)
+        << "router-on placed no more cohort slots than router-off: the "
+           "release route never engaged";
+  }
+}
+
+// The fifo constraint from bench_e2e, with its planted violation: order b is
+// filled while the earlier order a is still pending. Every fifo pair is in
+// the release fragment and pairs share their orders' atoms, so with the
+// router on the pairs step as cohort slots (and the recorder names the
+// route); with it off they run on the joint residual graph. Both must flag
+// the violation at exactly the planting update, not before.
+TEST(RouterDiffTest, FifoPlantIsFlaggedAtItsInstant) {
+  auto vocab = std::make_shared<Vocabulary>();
+  PredicateId sub = *vocab->AddPredicate("Sub", 1);
+  PredicateId fill = *vocab->AddPredicate("Fill", 1);
+  auto fac = std::make_shared<fotl::FormulaFactory>(vocab);
+  auto fifo = fotl::Parse(
+      fac.get(),
+      "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) until "
+      "(Sub(y) & ((!Fill(x)) until (Fill(y) & !Fill(x))))))");
+  ASSERT_TRUE(fifo.ok()) << fifo.status().ToString();
+  // Three orders served in order, then the plant over orders 10 and 11.
+  std::vector<Transaction> stream;
+  for (Value o = 1; o <= 3; ++o) {
+    stream.push_back({UpdateOp::Insert(sub, {o})});
+    stream.push_back({UpdateOp::Delete(sub, {o}), UpdateOp::Insert(fill, {o})});
+    stream.push_back({UpdateOp::Delete(fill, {o})});
+  }
+  stream.push_back({UpdateOp::Insert(sub, {10})});
+  stream.push_back({UpdateOp::Delete(sub, {10}), UpdateOp::Insert(sub, {11})});
+  stream.push_back({UpdateOp::Delete(sub, {11}), UpdateOp::Insert(fill, {11})});
+  const size_t plant = stream.size() - 1;
+
+  for (bool router : {true, false}) {
+    SCOPED_TRACE(router ? "router on" : "router off");
+#ifdef TIC_TELEMETRY_ENABLED
+    telemetry::SetRecorderEnabled(true);
+    telemetry::ResetRecorder();
+#endif
+    CheckOptions options;
+    options.router = router;
+    auto m = Monitor::Create(fac, *fifo, {}, options);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    size_t max_slots = 0;
+    for (size_t t = 0; t < stream.size(); ++t) {
+      auto v = (*m)->ApplyTransaction(stream[t]);
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      EXPECT_EQ(v->potentially_satisfied, t != plant) << "t=" << t;
+      EXPECT_EQ(v->permanently_violated, t == plant) << "t=" << t;
+      if (t < plant) max_slots = std::max(max_slots, v->num_cohort_instances);
+    }
+    // Five orders give 5 * 4 ordered pairs; the diagonal and stand-in
+    // instances ground to `true` and stay inert.
+    EXPECT_EQ(max_slots, router ? 20u : 0u);
+#ifdef TIC_TELEMETRY_ENABLED
+    bool release_route = false;
+    for (const telemetry::RecordedEvent& e : telemetry::SnapshotRecorder()) {
+      if (e.type == telemetry::EventType::kRouteDecision &&
+          std::string(telemetry::RouteBackendName(e.a)) == "release") {
+        release_route = true;
+        EXPECT_GT(e.b, 0u);  // slots placed
+        EXPECT_GT(e.c, 0u);  // cohorts in use
+      }
+    }
+    EXPECT_EQ(release_route, router)
+        << "route_decision backend=release must name the route exactly when "
+           "the router is on";
+#endif
+  }
+}
+
+// Watch lists: after Compact() and a quiet update, every fifo pair slot is
+// placed cold (no true letter). Sub(2) then turns true, and the flip must
+// reach each of the four slots watching it, not just the first: the pair
+// (2, 3) has to see order 2 pending, or filling order 3 first goes unflagged.
+TEST(RouterDiffTest, FifoFlipsReachEveryWatchingSlot) {
+  auto vocab = std::make_shared<Vocabulary>();
+  PredicateId sub = *vocab->AddPredicate("Sub", 1);
+  PredicateId fill = *vocab->AddPredicate("Fill", 1);
+  auto fac = std::make_shared<fotl::FormulaFactory>(vocab);
+  auto fifo = fotl::Parse(
+      fac.get(),
+      "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) until "
+      "(Sub(y) & ((!Fill(x)) until (Fill(y) & !Fill(x))))))");
+  ASSERT_TRUE(fifo.ok()) << fifo.status().ToString();
+  for (bool router : {true, false}) {
+    SCOPED_TRACE(router ? "router on" : "router off");
+    CheckOptions options;
+    options.router = router;
+    auto m = Monitor::Create(fac, *fifo, {}, options);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    for (Value o = 1; o <= 3; ++o) {
+      for (const Transaction& x :
+           {Transaction{UpdateOp::Insert(sub, {o})},
+            Transaction{UpdateOp::Delete(sub, {o}), UpdateOp::Insert(fill, {o})},
+            Transaction{UpdateOp::Delete(fill, {o})}}) {
+        ASSERT_TRUE((*m)->ApplyTransaction(x).ok());
+      }
+    }
+    ASSERT_TRUE((*m)->Compact().ok());
+    const std::vector<Transaction> after = {
+        {},
+        {UpdateOp::Insert(sub, {2})},
+        {UpdateOp::Delete(sub, {2}), UpdateOp::Insert(sub, {3})},
+        {UpdateOp::Delete(sub, {3}), UpdateOp::Insert(fill, {3})}};
+    for (size_t i = 0; i < after.size(); ++i) {
+      auto v = (*m)->ApplyTransaction(after[i]);
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      EXPECT_EQ(v->permanently_violated, i + 1 == after.size()) << "i=" << i;
+      EXPECT_EQ(v->num_cohort_instances, router ? 6u : 0u);
+    }
+  }
+}
+
+// Next keeps an atom-sharing component off the release route. Grounded over
+// elements a != b, the sentence gives instance (a, a) the formula
+// `G (P(a) -> X G !P(a))` and instance (a, b) the formula
+// `G (Q(b) & R(a) -> X P(a))` (the R guard keeps the stand-in instances
+// `true`). After the letter {P(a), Q(b), R(a)} each residual alone is
+// satisfiable but together they are not (ptl_safety_test's counterexample),
+// so ANDing per-slot live bits would miss the violation that progression,
+// the joint path and the router must all report at once.
+TEST(RouterDiffTest, NextSharingComponentsStayJoint) {
+  auto vocab = std::make_shared<Vocabulary>();
+  PredicateId p = *vocab->AddPredicate("P", 1);
+  PredicateId q = *vocab->AddPredicate("Q", 1);
+  PredicateId r = *vocab->AddPredicate("R", 1);
+  auto fac = std::make_shared<fotl::FormulaFactory>(vocab);
+  auto phi = fotl::Parse(fac.get(),
+                         "forall x y . (x = y -> G (P(x) -> X G !P(x))) & "
+                         "(x != y -> G ((Q(y) & R(x)) -> X P(x)))");
+  ASSERT_TRUE(phi.ok()) << phi.status().ToString();
+  tt::FotlCase kase;
+  kase.vocab = vocab;
+  kase.factory = fac;
+  kase.preds = {p, q, r};
+  kase.num_vars = 2;
+  kase.sentence = *phi;
+  kase.stream = {{UpdateOp::Insert(p, {1}), UpdateOp::Insert(q, {2}),
+                  UpdateOp::Insert(r, {1})},
+                 {UpdateOp::Delete(p, {1})}};
+  ExpectRouterConfigsAgree(kase, "next-sharing");
+  auto m = Monitor::Create(fac, *phi);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  auto v = (*m)->ApplyTransaction(kase.stream[0]);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_TRUE(v->permanently_violated);
 }
 
 TEST(RouterDiffTest, NonUniversalPastSentencesRouteToPastEvaluator) {

@@ -1,10 +1,18 @@
 // Tests for the safety analysis: Sistla-style syntactic recognition plus the
 // bounded semantic oracle, demonstrating the Section 2 safety/liveness
-// dichotomy at the propositional level.
+// dichotomy at the propositional level, and the release-fragment classifier
+// with the factoring lemma the monitor's release cohorts rest on.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "ptl/progress.h"
 #include "ptl/safety.h"
+#include "ptl/tableau.h"
+#include "ptl/word.h"
+#include "testing/rng.h"
 
 namespace tic {
 namespace ptl {
@@ -110,6 +118,165 @@ TEST_F(SafetyTest, OracleRefusesLargeInputs) {
       BoundedSafetyCheck(&fac_, p_, many, 2).status().IsInvalidArgument());
   EXPECT_TRUE(
       BoundedSafetyCheck(&fac_, p_, {p_id_}, 9).status().IsInvalidArgument());
+}
+
+TEST_F(SafetyTest, ReleaseFragmentClassification) {
+  Formula r = fac_.Atom(vocab_->Intern("r"));
+  // fifo's matrix grounded for a pair of orders a != b (the x != y test
+  // folds to true): G !(Sub(a) & (!Fill(a) U (Sub(b) & (!Fill(a) U
+  // (Fill(b) & !Fill(a)))))), whose NNF is built from R and G only.
+  Formula sa = fac_.Atom(vocab_->Intern("Sub(a)"));
+  Formula fa = fac_.Atom(vocab_->Intern("Fill(a)"));
+  Formula sb = fac_.Atom(vocab_->Intern("Sub(b)"));
+  Formula fb = fac_.Atom(vocab_->Intern("Fill(b)"));
+  Formula fifo = fac_.Always(fac_.Not(fac_.And(
+      sa, fac_.Until(fac_.Not(fa),
+                     fac_.And(sb, fac_.Until(fac_.Not(fa),
+                                             fac_.And(fb, fac_.Not(fa))))))));
+  Formula clause = fac_.Or(p_, fac_.Not(q_));
+  struct Row {
+    const char* name;
+    Formula f;
+    bool in;
+  };
+  const std::vector<Row> table = {
+      {"fifo pair", fifo, true},
+      // The five point-algebra unit shapes (ptl/fragment.h), in both the
+      // release spelling and the negated-until spelling grounding produces.
+      {"clause", clause, true},
+      {"G c", fac_.Always(clause), true},
+      {"!F b", fac_.Not(fac_.Eventually(p_)), true},
+      {"r R c", fac_.Release(r, clause), true},
+      {"!(l U r)", fac_.Not(fac_.Until(p_, q_)), true},
+      {"G (a -> G c)", fac_.Always(fac_.Implies(r, fac_.Always(clause))), true},
+      {"G (a -> (r R c))",
+       fac_.Always(fac_.Implies(r, fac_.Release(q_, clause))), true},
+      // Outside: Next, positive Until and Eventually, and !G (an F in NNF).
+      {"X p", fac_.Next(p_), false},
+      {"G (p -> X G !p)",
+       fac_.Always(fac_.Implies(p_, fac_.Next(fac_.Always(fac_.Not(p_))))),
+       false},
+      {"p U q", fac_.Until(p_, q_), false},
+      {"F p", fac_.Eventually(p_), false},
+      {"!G p", fac_.Not(fac_.Always(p_)), false},
+      {"!(p R q)", fac_.Not(fac_.Release(p_, q_)), false},
+  };
+  for (const Row& row : table) {
+    EXPECT_EQ(IsReleaseFragment(&fac_, row.f), row.in) << row.name;
+    // The fragment is a syntactic subset of the safe formulas.
+    if (row.in) {
+      EXPECT_TRUE(IsSyntacticallySafe(&fac_, row.f)) << row.name;
+    }
+  }
+}
+
+// Random release-fragment formula over `atoms`: literals under And, Or,
+// Release and Always only.
+Formula GenRelease(Factory* fac, tic::testing::Entropy* ent,
+                   const std::vector<Formula>& atoms, int depth) {
+  auto literal = [&]() {
+    Formula a = atoms[ent->Below(static_cast<uint32_t>(atoms.size()))];
+    return ent->Below(2) == 0 ? a : fac->Not(a);
+  };
+  if (depth <= 0) return literal();
+  switch (ent->Below(5)) {
+    case 0:
+      return literal();
+    case 1:
+      return fac->And(GenRelease(fac, ent, atoms, depth - 1),
+                      GenRelease(fac, ent, atoms, depth - 1));
+    case 2:
+      return fac->Or(GenRelease(fac, ent, atoms, depth - 1),
+                     GenRelease(fac, ent, atoms, depth - 1));
+    case 3:
+      return fac->Release(GenRelease(fac, ent, atoms, depth - 1),
+                          GenRelease(fac, ent, atoms, depth - 1));
+    default:
+      return fac->Always(GenRelease(fac, ent, atoms, depth - 1));
+  }
+}
+
+// The factoring lemma: 1-4 fragment formulas over three shared atoms, pushed
+// through a random word ending in letter L. Satisfiability of the
+// conjunction of their residuals equals the AND of their individual
+// verdicts, equals the conjunction holding on L^omega, and each residual is
+// satisfiable iff it is not `false`.
+TEST_F(SafetyTest, ReleaseFragmentSatisfiabilityFactors) {
+  Formula r = fac_.Atom(vocab_->Intern("r"));
+  const std::vector<Formula> atoms = {p_, q_, r};
+  const std::vector<PropId> ids = {p_id_, q_id_, vocab_->Intern("r")};
+  constexpr int kCases = 10000;
+  for (int c = 0; c < kCases; ++c) {
+    tic::testing::Entropy ent(0x5eed0000u + static_cast<uint32_t>(c));
+    size_t num_formulas = 1 + ent.Below(4);
+    std::vector<Formula> formulas;
+    for (size_t i = 0; i < num_formulas; ++i) {
+      formulas.push_back(
+          GenRelease(&fac_, &ent, atoms, 1 + static_cast<int>(ent.Below(3))));
+    }
+    size_t len = 1 + ent.Below(4);
+    std::vector<PropState> word(len);
+    for (PropState& w : word) {
+      for (PropId id : ids) {
+        if (ent.Below(2) == 1) w.Set(id, true);
+      }
+    }
+    bool all_sat = true;
+    std::vector<Formula> residuals;
+    for (Formula f : formulas) {
+      ASSERT_TRUE(IsReleaseFragment(&fac_, f)) << ToString(fac_, f);
+      Formula res = f;
+      for (const PropState& w : word) {
+        auto next = Progress(&fac_, res, w);
+        ASSERT_TRUE(next.ok()) << next.status().ToString();
+        res = *next;
+      }
+      auto sat = CheckSat(&fac_, res);
+      ASSERT_TRUE(sat.ok()) << sat.status().ToString();
+      EXPECT_EQ(sat->satisfiable, res->kind() != Kind::kFalse)
+          << "case " << c << ": " << ToString(fac_, res);
+      all_sat = all_sat && sat->satisfiable;
+      residuals.push_back(res);
+    }
+    Formula conj = fac_.AndAll(residuals);
+    auto joint = CheckSat(&fac_, conj);
+    ASSERT_TRUE(joint.ok()) << joint.status().ToString();
+    EXPECT_EQ(joint->satisfiable, all_sat)
+        << "case " << c << ": " << ToString(fac_, conj);
+    UltimatelyPeriodicWord repeat_last;
+    repeat_last.loop.push_back(word.back());
+    auto holds = Evaluate(repeat_last, conj, 0);
+    ASSERT_TRUE(holds.ok()) << holds.status().ToString();
+    EXPECT_EQ(*holds, all_sat) << "case " << c << ": " << ToString(fac_, conj);
+  }
+}
+
+// Why Next is excluded: after the letter {p, q}, `G (p -> X G !p)` and
+// `G (q -> X p)` are each satisfiable, but their conjunction is not — the
+// first forbids p from now on, the second demands it next — and its residual
+// is not `false`, so neither the per-instance AND nor "not false" decides it.
+TEST_F(SafetyTest, NextBreaksTheFactoring) {
+  Formula f1 =
+      fac_.Always(fac_.Implies(p_, fac_.Next(fac_.Always(fac_.Not(p_)))));
+  Formula f2 = fac_.Always(fac_.Implies(q_, fac_.Next(p_)));
+  EXPECT_FALSE(IsReleaseFragment(&fac_, f1));
+  EXPECT_FALSE(IsReleaseFragment(&fac_, f2));
+  PropState pq;
+  pq.Set(p_id_, true);
+  pq.Set(q_id_, true);
+  auto r1 = Progress(&fac_, f1, pq);
+  auto r2 = Progress(&fac_, f2, pq);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  auto s1 = CheckSat(&fac_, *r1);
+  auto s2 = CheckSat(&fac_, *r2);
+  ASSERT_TRUE(s1.ok() && s2.ok());
+  EXPECT_TRUE(s1->satisfiable);
+  EXPECT_TRUE(s2->satisfiable);
+  Formula conj = fac_.And(*r1, *r2);
+  EXPECT_NE(conj->kind(), Kind::kFalse);
+  auto joint = CheckSat(&fac_, conj);
+  ASSERT_TRUE(joint.ok());
+  EXPECT_FALSE(joint->satisfiable);
 }
 
 }  // namespace

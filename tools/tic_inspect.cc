@@ -3,8 +3,9 @@
 // (checkpoint.h, "TICSNAP01"), Chrome traces
 // (bench --trace), and bench --json record files. Renders a merged timeline,
 // top-N hottest letters/cohorts/spans, a per-backend fragment-routing
-// breakdown, a verdict-flip audit log, and a Prometheus-style text
-// exposition.
+// breakdown (pointalg, past, release cohorts; telemetry::RouteBackendName),
+// a verdict-flip audit log, and a Prometheus-style text exposition whose
+// tic_route_* series carry the same backend names.
 //
 //   tic_inspect <file>... [--timeline=N] [--top=N] [--audit] [--prom]
 //
@@ -34,6 +35,7 @@ namespace {
 using tic::telemetry::EventType;
 using tic::telemetry::EventTypeName;
 using tic::telemetry::RecordedEvent;
+using tic::telemetry::RouteBackendName;
 
 // ---------------------------------------------------------------------------
 // Tiny tolerant JSON scanning (just enough for the two shapes we produce:
@@ -132,14 +134,6 @@ struct RouteStats {
   uint64_t items = 0;      // sum of items touched per step
   uint64_t ticks = 0;      // sum of TSC tick deltas per step
 };
-
-const char* RouteBackendName(uint64_t a) {
-  switch (a) {
-    case 1: return "pointalg";
-    case 2: return "past";
-    default: return "automaton";
-  }
-}
 
 struct Inspection {
   std::vector<TimelineItem> timeline;
