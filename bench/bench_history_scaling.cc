@@ -94,7 +94,8 @@ void BM_Fifo_MonitorPerUpdate(benchmark::State& state, size_t threads,
   }
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["start_length"] = static_cast<double>(warmup);
-  state.counters["end_length"] = static_cast<double>(monitor->history().length());
+  state.counters["end_length"] =
+      static_cast<double>(monitor->last_verdict().time + 1);
   state.counters["instances"] = static_cast<double>(last.num_instances);
   state.counters["residual_classes"] = static_cast<double>(last.num_residual_classes);
   state.counters["cache_hits"] = static_cast<double>(last.verdict_cache_stats.hits);

@@ -121,8 +121,8 @@ void BM_HistoryLessMonitor_PerUpdate(benchmark::State& state) {
     benchmark::DoNotOptimize(v->potentially_satisfied);
   }
   state.counters["orders"] = static_cast<double>(n);
-  state.counters["history_states"] =
-      static_cast<double>(monitor->history().length());
+  state.counters["end_length"] =
+      static_cast<double>(monitor->last_verdict().time + 1);
 }
 BENCHMARK(BM_HistoryLessMonitor_PerUpdate)->Arg(2)->Arg(4)->Arg(8);
 

@@ -18,7 +18,8 @@ namespace {
 namespace snap = tic::snapshot;
 
 // option_flags bit layout inside the kSecMeta prefix (unchanged since
-// kStateVersion 1).
+// kStateVersion 1, except bit 8: a current-letter-valid flag retired in
+// version 3, where the letter of the initially empty state is always valid).
 constexpr uint32_t kFlagRequireSafety = 1u << 0;
 constexpr uint32_t kFlagRouter = 1u << 1;
 constexpr uint32_t kFlagRouterForcePast = 1u << 2;
@@ -27,13 +28,12 @@ constexpr uint32_t kFlagProvenance = 1u << 4;
 constexpr uint32_t kFlagWantWitness = 1u << 5;
 constexpr uint32_t kFlagDead = 1u << 6;
 constexpr uint32_t kFlagCompacted = 1u << 7;
-constexpr uint32_t kFlagCurLetterValid = 1u << 8;
 constexpr uint32_t kFlagAnyVerdict = 1u << 9;
 constexpr uint32_t kFlagLastSat = 1u << 10;
 constexpr uint32_t kKnownOptionFlags =
     kFlagRequireSafety | kFlagRouter | kFlagRouterForcePast |
     kFlagCohortStepping | kFlagProvenance | kFlagWantWitness | kFlagDead |
-    kFlagCompacted | kFlagCurLetterValid | kFlagAnyVerdict | kFlagLastSat;
+    kFlagCompacted | kFlagAnyVerdict | kFlagLastSat;
 
 // ---------------------------------------------------------------------------
 // Encoding helpers
@@ -56,64 +56,41 @@ void EncodeVocabulary(snap::ByteWriter* w, const Vocabulary& vocab,
   for (Value v : constant_interp) w->PutI64(v);
 }
 
-void EncodeHistory(snap::ByteWriter* w, const History& h) {
-  const Vocabulary& vocab = *h.vocabulary();
-  w->PutU64(h.length());
-  for (size_t t = 0; t < h.length(); ++t) {
-    // Alias runs (empty transactions share the previous state object) are
-    // preserved: restoring re-aliases instead of deep-copying, so a snapshot
-    // of a long steady-state history stays small.
-    if (t > 0 && &h.state(t) == &h.state(t - 1)) {
-      w->PutU8(1);
-      continue;
-    }
-    w->PutU8(0);
-    const DatabaseState& s = h.state(t);
-    for (PredicateId p = 0; p < vocab.num_predicates(); ++p) {
-      if (vocab.predicate(p).builtin != Builtin::kNone) continue;
-      const Relation& rel = s.relation(p);
-      // Hash-set iteration order is not deterministic across runs; sort so
-      // two snapshots of equal state are byte-identical.
-      std::vector<Tuple> tuples(rel.begin(), rel.end());
-      std::sort(tuples.begin(), tuples.end());
-      w->PutU64(tuples.size());
-      for (const Tuple& tuple : tuples) {
-        for (Value v : tuple) w->PutI64(v);
-      }
+// The current database state: per ordinary predicate, its tuple count and
+// tuples. The monitor stores no other state, so this is the whole history
+// section whatever the history length.
+void EncodeState(snap::ByteWriter* w, const DatabaseState& s) {
+  const Vocabulary& vocab = *s.vocabulary();
+  for (PredicateId p = 0; p < vocab.num_predicates(); ++p) {
+    if (vocab.predicate(p).builtin != Builtin::kNone) continue;
+    const Relation& rel = s.relation(p);
+    // Hash-set iteration order is not deterministic across runs; sort so two
+    // snapshots of equal state are byte-identical.
+    std::vector<Tuple> tuples(rel.begin(), rel.end());
+    std::sort(tuples.begin(), tuples.end());
+    w->PutU64(tuples.size());
+    for (const Tuple& tuple : tuples) {
+      for (Value v : tuple) w->PutI64(v);
     }
   }
 }
 
-Result<History> DecodeHistory(snap::ByteReader* r, VocabularyPtr vocab,
-                              std::vector<Value> constant_interp) {
-  TIC_ASSIGN_OR_RETURN(
-      History h, History::Create(std::move(vocab), std::move(constant_interp)));
-  const Vocabulary& v = *h.vocabulary();
-  TIC_ASSIGN_OR_RETURN(uint64_t nstates, r->ReadU64());
-  for (uint64_t t = 0; t < nstates; ++t) {
-    TIC_ASSIGN_OR_RETURN(uint8_t tag, r->ReadU8());
-    if (tag == 1) {
-      TIC_RETURN_NOT_OK(h.AppendAliasOfLast());
-      continue;
-    }
-    if (tag != 0) {
-      return Status::ParseError("snapshot: unknown history state tag");
-    }
-    DatabaseState* s = h.AppendEmptyState();
-    for (PredicateId p = 0; p < v.num_predicates(); ++p) {
-      if (v.predicate(p).builtin != Builtin::kNone) continue;
-      const uint32_t arity = v.predicate(p).arity;
-      TIC_ASSIGN_OR_RETURN(uint64_t ntuples, r->ReadU64());
-      for (uint64_t i = 0; i < ntuples; ++i) {
-        Tuple tuple(arity);
-        for (uint32_t a = 0; a < arity; ++a) {
-          TIC_ASSIGN_OR_RETURN(tuple[a], r->ReadI64());
-        }
-        TIC_RETURN_NOT_OK(s->Insert(p, std::move(tuple)));
+Result<DatabaseState> DecodeState(snap::ByteReader* r, VocabularyPtr vocab) {
+  DatabaseState s(std::move(vocab));
+  const Vocabulary& v = *s.vocabulary();
+  for (PredicateId p = 0; p < v.num_predicates(); ++p) {
+    if (v.predicate(p).builtin != Builtin::kNone) continue;
+    const uint32_t arity = v.predicate(p).arity;
+    TIC_ASSIGN_OR_RETURN(uint64_t ntuples, r->ReadU64());
+    for (uint64_t i = 0; i < ntuples; ++i) {
+      Tuple tuple(arity);
+      for (uint32_t a = 0; a < arity; ++a) {
+        TIC_ASSIGN_OR_RETURN(tuple[a], r->ReadI64());
       }
+      TIC_RETURN_NOT_OK(s.Insert(p, std::move(tuple)));
     }
   }
-  return h;
+  return s;
 }
 
 // Shared hash-consed node pool over all serialized residuals: nodes in
@@ -357,7 +334,7 @@ void EncodePastImage(snap::ByteWriter* w,
     put_keys(t.changed);
     put_keys(t.pending);
   }
-  w->PutU8(img.first_instant ? 1 : 0);
+  w->PutU64(img.num_states);
   w->PutU64(img.last_verdict.time);
   w->PutU8(img.last_verdict.satisfied ? 1 : 0);
   w->PutU8(img.last_verdict.first_violation.has_value() ? 1 : 0);
@@ -398,8 +375,7 @@ Result<past::PastMonitor::StateImage> DecodePastImage(snap::ByteReader* r) {
     TIC_RETURN_NOT_OK(get_keys(&t.pending));
     img.tables.push_back(std::move(t));
   }
-  TIC_ASSIGN_OR_RETURN(uint8_t first, r->ReadU8());
-  img.first_instant = first != 0;
+  TIC_ASSIGN_OR_RETURN(img.num_states, r->ReadU64());
   TIC_ASSIGN_OR_RETURN(img.last_verdict.time, r->ReadU64());
   TIC_ASSIGN_OR_RETURN(uint8_t sat, r->ReadU8());
   img.last_verdict.satisfied = sat != 0;
@@ -421,7 +397,8 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
   snap::SnapshotWriter w;
 
   const bool past_route = m.past_ != nullptr;
-  const History& history = m.history();
+  past::PastMonitor::StateImage past_image;
+  if (past_route) past_image = m.past_->ExportImage();
 
   uint32_t flags = 0;
   if (m.options_.require_safety) flags |= kFlagRequireSafety;
@@ -432,7 +409,6 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
   if (m.options_.want_witness) flags |= kFlagWantWitness;
   if (m.dead_) flags |= kFlagDead;
   if (m.compacted_) flags |= kFlagCompacted;
-  if (m.cur_letter_valid_) flags |= kFlagCurLetterValid;
   if (m.any_verdict_) flags |= kFlagAnyVerdict;
   if (m.last_sat_) flags |= kFlagLastSat;
 
@@ -442,7 +418,7 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
   meta.mode = static_cast<uint8_t>(m.mode_);
   meta.option_flags = flags;
   meta.time_base = m.time_base();
-  meta.history_length = history.length();
+  meta.num_states = past_route ? past_image.num_states : m.num_states_;
   meta.num_instances = m.instances_.size();
   meta.num_letters = m.letter_log_.size();
   snap::ByteWriter* mw = w.AddSection(snap::kSecMeta);
@@ -450,10 +426,10 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
   mw->PutU32(m.options_.cohort_minimize_interval);
 
   EncodeVocabulary(w.AddSection(snap::kSecVocabulary), *m.ffac_->vocabulary(),
-                   history.constant_interpretation());
+                   m.constant_interp_);
   w.AddSection(snap::kSecConstraint)
       ->PutString(fotl::ToString(*m.ffac_, m.phi_));
-  EncodeHistory(w.AddSection(snap::kSecHistory), history);
+  EncodeState(w.AddSection(snap::kSecHistory), m.current_state());
 
   // Last verdict, semantic fields only (meaningful when kFlagAnyVerdict).
   {
@@ -466,7 +442,7 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
   }
 
   if (past_route) {
-    EncodePastImage(w.AddSection(snap::kSecPast), m.past_->ExportImage());
+    EncodePastImage(w.AddSection(snap::kSecPast), past_image);
     return w.Finish();
   }
 
@@ -476,8 +452,7 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
     snap::ByteWriter* lw = w.AddSection(snap::kSecLetters);
     lw->PutU64(m.letter_log_.size());
     for (const auto& entry : m.letter_log_) {
-      lw->PutU32(entry.key.pred);
-      lw->PutU32(static_cast<uint32_t>(entry.key.codes.size()));
+      lw->PutU32(entry.key.pred);  // the predicate's arity gives the code count
       for (Value c : entry.key.codes) lw->PutI64(c);
       lw->PutU32(entry.id);
     }
@@ -510,22 +485,20 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
 
   {
     snap::ByteWriter* ww = w.AddSection(snap::kSecWord);
+    auto put_letter = [ww](const ptl::PropState& letter) {
+      ww->PutU32(static_cast<uint32_t>(letter.trues().size()));
+      for (ptl::PropId p : letter.trues()) ww->PutU32(p);
+    };
     ww->PutU64(m.word_.size());
     for (const auto& e : m.word_) {
       ww->PutU64(e.repeat);
-      const auto& trues = e.w.trues();
-      ww->PutU32(static_cast<uint32_t>(trues.size()));
-      for (ptl::PropId p : trues) ww->PutU32(p);
+      put_letter(e.w);
     }
     // The current-state letter rides along verbatim. It is NOT recomputable
-    // from the history at restore time: recomputation would mint letters the
-    // live monitor never created (e.g. a dead monitor stops minting), and a
-    // dead monitor's cur_letter_ may legitimately lag the last history state.
-    if (m.cur_letter_valid_) {
-      const auto& trues = m.cur_letter_.trues();
-      ww->PutU32(static_cast<uint32_t>(trues.size()));
-      for (ptl::PropId p : trues) ww->PutU32(p);
-    }
+    // from the current state at restore time: recomputation would mint
+    // letters the live monitor never created (e.g. a dead monitor stops
+    // minting), and a dead monitor's cur_letter_ may legitimately lag it.
+    put_letter(m.cur_letter_);
   }
 
   EncodeValues(w.AddSection(snap::kSecRelevant), m.known_relevant_);
@@ -706,16 +679,15 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
         "snapshot: recorded backend does not match the routed constraint");
   }
 
-  // --- HISTORY ---
+  // --- HISTORY: the current state alone ---
   TIC_ASSIGN_OR_RETURN(std::string_view hist_bytes,
                        reader.Require(snap::kSecHistory));
   snap::ByteReader hr(hist_bytes);
-  TIC_ASSIGN_OR_RETURN(History restored_history,
-                       DecodeHistory(&hr, vocab, constant_interp));
+  TIC_ASSIGN_OR_RETURN(DatabaseState restored_state, DecodeState(&hr, vocab));
   TIC_RETURN_NOT_OK(hr.ExpectEnd());
-  if (restored_history.length() != meta.history_length) {
+  if (meta.time_base > 0 && meta.time_base >= meta.num_states) {
     return Status::ParseError(
-        "snapshot: history length disagrees with the meta section");
+        "snapshot: time base is past the last state");
   }
 
   // --- VERDICT (semantic fields; backend/stats fields restart at zero) ---
@@ -745,17 +717,20 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
     TIC_ASSIGN_OR_RETURN(past::PastMonitor::StateImage image,
                          DecodePastImage(&pr));
     TIC_RETURN_NOT_OK(pr.ExpectEnd());
-    if (image.time_base != meta.time_base) {
+    if (image.time_base != meta.time_base ||
+        image.num_states != meta.num_states) {
       return Status::ParseError(
-          "snapshot: past time base disagrees with the meta section");
+          "snapshot: past time base or state count disagrees with the meta "
+          "section");
     }
     TIC_RETURN_NOT_OK(
-        m->past_->RestoreImage(std::move(image), std::move(restored_history)));
+        m->past_->RestoreImage(std::move(image), std::move(restored_state)));
     return m;
   }
 
   // --- Universal route ---
-  m->history_ = std::move(restored_history);
+  m->state_ = std::move(restored_state);
+  m->num_states_ = meta.num_states;
   m->time_base_ = meta.time_base;
 
   // LETTERS: replay through Monitor::Letter and verify every minted id. The
@@ -779,12 +754,8 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
     if (vocab->predicate(pred).builtin != Builtin::kNone) {
       return Status::ParseError("snapshot: letter over builtin predicate");
     }
-    TIC_ASSIGN_OR_RETURN(uint32_t ncodes, lr.ReadU32());
-    if (ncodes != vocab->predicate(pred).arity) {
-      return Status::ParseError("snapshot: letter arity mismatch");
-    }
-    codes.resize(ncodes);
-    for (uint32_t j = 0; j < ncodes; ++j) {
+    codes.resize(vocab->predicate(pred).arity);
+    for (size_t j = 0; j < codes.size(); ++j) {
       TIC_ASSIGN_OR_RETURN(codes[j], lr.ReadI64());
     }
     TIC_ASSIGN_OR_RETURN(uint32_t recorded_id, lr.ReadU32());
@@ -839,36 +810,30 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
   TIC_ASSIGN_OR_RETURN(std::string_view word_bytes,
                        reader.Require(snap::kSecWord));
   snap::ByteReader wr(word_bytes);
-  TIC_ASSIGN_OR_RETURN(uint64_t nentries, wr.ReadU64());
-  m->word_.clear();
   const size_t num_props = m->prop_vocab_->size();
-  for (uint64_t i = 0; i < nentries; ++i) {
-    Monitor::WordEntry e;
-    TIC_ASSIGN_OR_RETURN(e.repeat, wr.ReadU64());
-    if (e.repeat == 0) {
-      return Status::ParseError("snapshot: zero-repeat word run");
-    }
+  auto get_letter = [&](ptl::PropState* letter) -> Status {
     TIC_ASSIGN_OR_RETURN(uint32_t ntrue, wr.ReadU32());
     for (uint32_t j = 0; j < ntrue; ++j) {
       TIC_ASSIGN_OR_RETURN(uint32_t p, wr.ReadU32());
       if (p >= num_props) {
         return Status::ParseError("snapshot: word letter out of range");
       }
-      e.w.Set(static_cast<ptl::PropId>(p), true);
+      letter->Set(static_cast<ptl::PropId>(p), true);
     }
+    return Status::OK();
+  };
+  TIC_ASSIGN_OR_RETURN(uint64_t nentries, wr.ReadU64());
+  m->word_.clear();
+  for (uint64_t i = 0; i < nentries; ++i) {
+    Monitor::WordEntry e;
+    TIC_ASSIGN_OR_RETURN(e.repeat, wr.ReadU64());
+    if (e.repeat == 0) {
+      return Status::ParseError("snapshot: zero-repeat word run");
+    }
+    TIC_RETURN_NOT_OK(get_letter(&e.w));
     m->word_.push_back(std::move(e));
   }
-  if ((flags & kFlagCurLetterValid) != 0) {
-    TIC_ASSIGN_OR_RETURN(uint32_t ntrue, wr.ReadU32());
-    for (uint32_t j = 0; j < ntrue; ++j) {
-      TIC_ASSIGN_OR_RETURN(uint32_t p, wr.ReadU32());
-      if (p >= num_props) {
-        return Status::ParseError("snapshot: current letter out of range");
-      }
-      m->cur_letter_.Set(static_cast<ptl::PropId>(p), true);
-    }
-    m->cur_letter_valid_ = true;
-  }
+  TIC_RETURN_NOT_OK(get_letter(&m->cur_letter_));
   TIC_RETURN_NOT_OK(wr.ExpectEnd());
 
   // RELEVANT

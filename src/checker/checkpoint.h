@@ -35,7 +35,7 @@ struct RestoreOptions {
 /// history.
 ///
 /// What round-trips: the constraint, vocabulary and constant interpretation;
-/// the physical history (alias runs preserved); every minted propositional
+/// the current database state and the state count; every minted propositional
 /// letter in mint order; the per-instance checkpoint formulas (hash-consed
 /// node pool); the RLE word; the relevant set; the compaction checkpoint
 /// (basis + z-patterns) and time base; the semantic fields of the last
@@ -59,8 +59,12 @@ class MonitorCheckpoint {
   /// changes shape or meaning; the container version covers only the
   /// envelope). Version 2: instance formulas are checkpoint bases in every
   /// backend (version 1 stored progression-backend residuals at "now"), and
-  /// mode byte 2 (a retired history-less mode) is invalid.
-  static constexpr uint32_t kStateVersion = 2;
+  /// mode byte 2 (a retired history-less mode) is invalid. Version 3: the
+  /// history section holds the current state alone, the meta prefix counts
+  /// the states applied (version 2 stored every state since the last
+  /// compaction), and a letter record no longer repeats its predicate's
+  /// arity.
+  static constexpr uint32_t kStateVersion = 3;
 
   static Result<std::string> Serialize(const Monitor& monitor);
 

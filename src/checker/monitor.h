@@ -102,35 +102,37 @@ class Monitor {
       std::vector<Value> constant_interp = {}, CheckOptions options = {},
       MonitorMode mode = MonitorMode::kEager);
 
-  /// Applies `txn` (appending one state to the history) and re-checks.
+  /// Applies `txn` to the current database state in place and re-checks. A
+  /// transaction with an invalid op is rejected before anything changes.
   Result<MonitorVerdict> ApplyTransaction(const Transaction& txn);
 
-  /// Checkpointed history compaction (Theorem 4.1's residual reading): folds
-  /// every history state but the current one into the monitor's residual
-  /// state, making epoch resets, fresh-element catch-up, and snapshots
-  /// O(state) instead of O(t). Fresh elements arriving after the fold are
-  /// caught up from pre-enumerated *z-patterns* — the checkpoint residuals of
+  /// Checkpointed compaction (Theorem 4.1's residual reading): folds the word
+  /// since the last checkpoint into the instances' checkpoint formulas,
+  /// making epoch resets, fresh-element catch-up, and snapshots O(state)
+  /// instead of O(t). Fresh elements arriving after the fold are caught up
+  /// from pre-enumerated *z-patterns* — the checkpoint residuals of
   /// assignments over stand-ins kept as letters — by renaming, exactly the
-  /// paper's indistinguishability argument. Verdicts are unaffected;
-  /// `verdict.time` keeps counting absolute instants via time_base().
+  /// paper's indistinguishability argument. Verdicts are unaffected.
   /// ResourceExhausted (monitor unchanged) when the pattern enumeration would
   /// exceed kMaxCompactEnumeration.
   ///
+  /// No past database state is stored, so nothing is truncated.
   /// History-less monitoring (the paper's Section 6 question) is this call
-  /// after every update: the monitor then holds one database state, the
-  /// checkpoint, and the word since it, whatever the history length.
+  /// after every update: the monitor then holds the current state, the
+  /// checkpoint, and an empty word, whatever the history length.
   Status Compact();
 
-  /// Absolute instant of physical history state 0: the number of history
-  /// states folded away by Compact() so far.
+  /// Absolute instant of the last checkpoint: the current instant at the
+  /// last Compact() that folded anything, 0 before the first.
   size_t time_base() const {
     return past_ != nullptr ? past_->time_base() : time_base_;
   }
 
-  /// The monitored history so far. On the router's past route the history
-  /// lives inside the delegated past evaluator.
-  const History& history() const {
-    return past_ != nullptr ? past_->history() : history_;
+  /// The current database state D_t (all relations empty before the first
+  /// transaction). On the router's past route it lives inside the delegated
+  /// past evaluator.
+  const DatabaseState& current_state() const {
+    return past_ != nullptr ? past_->current_state() : state_;
   }
 
   /// Latest verdict (valid after the first transaction).
@@ -143,17 +145,14 @@ class Monitor {
   friend class MonitorCheckpoint;
 
   Monitor(std::shared_ptr<fotl::FormulaFactory> fotl_factory, fotl::Formula phi,
-          History history, CheckOptions options, MonitorMode mode);
+          std::vector<Value> constant_interp, CheckOptions options,
+          MonitorMode mode);
 
   // Progresses every running residual through `w`: residuals are partitioned
   // into equivalence classes by hash-consed identity, one representative per
   // class is progressed (in parallel when a thread pool is configured), and
   // the results are fanned back out to running_residuals_.
   Status ProgressAll(const ptl::PropState& w, size_t* num_classes);
-
-  // Builds the propositional state for history state `t`, creating letters on
-  // demand (mirrors Grounding::BuildWord, incrementally).
-  ptl::PropState PropStateOf(size_t t);
 
   // Grounds the matrix under `assignment` (kSimplified: equalities folded,
   // stand-in atoms false). Atoms mentioning a stand-in with index >=
@@ -222,16 +221,19 @@ class Monitor {
   };
   std::vector<WordEntry> word_;
 
-  // Letter of the current history state, maintained incrementally from each
-  // transaction's ops (O(delta) instead of an O(database) rescan per
-  // update). Initialized from PropStateOf on the first update so a non-empty
-  // starting history is covered.
+  // Letter of the current database state, maintained incrementally from
+  // each transaction's ops (O(delta) instead of an O(database) rescan per
+  // update); the first update reads it off the whole state.
   ptl::PropState cur_letter_;
-  bool cur_letter_valid_ = false;
 
-  History history_;
+  // The current database state, updated in place, and the rigid constants:
+  // the word and the checkpoint formulas carry the rest (Lemmas 4.1, 4.2).
+  DatabaseState state_;
+  std::vector<Value> constant_interp_;
+  size_t num_states_ = 0;  // states so far: the paper's t + 1
   std::vector<Value> known_relevant_;  // sorted
-  // Absolute instant of physical history state 0: states folded by Compact().
+  // See time_base(). The word holds the letters after it (from state 0
+  // before the first fold).
   size_t time_base_ = 0;
   ptl::PropVocabularyPtr prop_vocab_;
   std::shared_ptr<ptl::Factory> prop_factory_;

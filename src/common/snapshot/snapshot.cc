@@ -158,7 +158,7 @@ void WriteMetaPrefix(ByteWriter* w, const MetaPrefix& m) {
   w->PutU8(m.mode);
   w->PutU32(m.option_flags);
   w->PutU64(m.time_base);
-  w->PutU64(m.history_length);
+  w->PutU64(m.num_states);
   w->PutU64(m.num_instances);
   w->PutU64(m.num_letters);
 }
@@ -170,7 +170,7 @@ Result<MetaPrefix> ReadMetaPrefix(ByteReader* r) {
   TIC_ASSIGN_OR_RETURN(m.mode, r->ReadU8());
   TIC_ASSIGN_OR_RETURN(m.option_flags, r->ReadU32());
   TIC_ASSIGN_OR_RETURN(m.time_base, r->ReadU64());
-  TIC_ASSIGN_OR_RETURN(m.history_length, r->ReadU64());
+  TIC_ASSIGN_OR_RETURN(m.num_states, r->ReadU64());
   TIC_ASSIGN_OR_RETURN(m.num_instances, r->ReadU64());
   TIC_ASSIGN_OR_RETURN(m.num_letters, r->ReadU64());
   return m;
@@ -195,10 +195,10 @@ Result<std::string> Describe(std::string_view blob) {
       std::snprintf(line, sizeof(line),
                     "meta: state_version=%u backend=%u mode=%u "
                     "option_flags=0x%08x\n"
-                    "      time_base=%" PRIu64 " history_length=%" PRIu64
+                    "      time_base=%" PRIu64 " num_states=%" PRIu64
                     " instances=%" PRIu64 " letters=%" PRIu64 "\n",
                     m->state_version, m->backend, m->mode, m->option_flags,
-                    m->time_base, m->history_length, m->num_instances,
+                    m->time_base, m->num_states, m->num_instances,
                     m->num_letters);
       out += line;
     }

@@ -38,7 +38,7 @@ enum SectionId : uint32_t {
   kSecMeta = 1,         ///< versions, mode/backend, option + state flags
   kSecVocabulary = 2,   ///< predicates, builtins, constants + interpretation
   kSecConstraint = 3,   ///< the FOTL sentence, printed (re-parsed on restore)
-  kSecHistory = 4,      ///< physical database states, alias-RLE
+  kSecHistory = 4,      ///< the current database state
   kSecLetters = 5,      ///< minted propositional letters, in mint order
   kSecFormulas = 6,     ///< hash-consed PTL node pool, post-order
   kSecInstances = 7,    ///< grounding assignments + residual formula indices
@@ -207,7 +207,7 @@ struct MetaPrefix {
   uint8_t mode = 0;
   uint32_t option_flags = 0;
   uint64_t time_base = 0;
-  uint64_t history_length = 0;  ///< physical states retained (post-compaction)
+  uint64_t num_states = 0;  ///< states applied since creation (t + 1)
   uint64_t num_instances = 0;
   uint64_t num_letters = 0;
 };

@@ -12,6 +12,18 @@
 
 namespace tic {
 
+/// \brief InvalidArgument unless `constant_interp` (universe element per
+/// constant id) covers every constant of `vocab`.
+inline Status CheckConstantInterpretation(const Vocabulary& vocab,
+                                          const std::vector<Value>& constant_interp) {
+  if (constant_interp.size() != vocab.num_constants()) {
+    return Status::InvalidArgument(
+        "constant interpretation covers " + std::to_string(constant_interp.size()) +
+        " of " + std::to_string(vocab.num_constants()) + " constants");
+  }
+  return Status::OK();
+}
+
 /// \brief A finite-time temporal database (D_0, ..., D_t): the "current history"
 /// on which temporal integrity constraints are checked (Section 2).
 ///
@@ -23,11 +35,7 @@ class History {
   /// of the vocabulary.
   static Result<History> Create(VocabularyPtr vocab,
                                 std::vector<Value> constant_interp = {}) {
-    if (constant_interp.size() != vocab->num_constants()) {
-      return Status::InvalidArgument(
-          "constant interpretation covers " + std::to_string(constant_interp.size()) +
-          " of " + std::to_string(vocab->num_constants()) + " constants");
-    }
+    TIC_RETURN_NOT_OK(CheckConstantInterpretation(*vocab, constant_interp));
     return History(std::move(vocab), std::move(constant_interp));
   }
 

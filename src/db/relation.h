@@ -23,22 +23,23 @@ class Relation {
   size_t size() const { return tuples_.size(); }
   bool empty() const { return tuples_.empty(); }
 
+  /// InvalidArgument unless `t` has this relation's arity.
+  Status CheckArity(const Tuple& t) const {
+    if (t.size() == arity_) return Status::OK();
+    return Status::InvalidArgument("tuple arity " + std::to_string(t.size()) +
+                                   " != relation arity " + std::to_string(arity_));
+  }
+
   /// Adds a tuple; returns InvalidArgument on an arity mismatch.
   Status Insert(Tuple t) {
-    if (t.size() != arity_) {
-      return Status::InvalidArgument("tuple arity " + std::to_string(t.size()) +
-                                     " != relation arity " + std::to_string(arity_));
-    }
+    TIC_RETURN_NOT_OK(CheckArity(t));
     tuples_.insert(std::move(t));
     return Status::OK();
   }
 
   /// Removes a tuple if present; returns InvalidArgument on an arity mismatch.
   Status Erase(const Tuple& t) {
-    if (t.size() != arity_) {
-      return Status::InvalidArgument("tuple arity " + std::to_string(t.size()) +
-                                     " != relation arity " + std::to_string(arity_));
-    }
+    TIC_RETURN_NOT_OK(CheckArity(t));
     tuples_.erase(t);
     return Status::OK();
   }

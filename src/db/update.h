@@ -27,35 +27,40 @@ struct UpdateOp {
 /// next database state from the current one.
 using Transaction = std::vector<UpdateOp>;
 
-/// \brief Appends to `history` the state obtained by applying `txn` to its last
-/// state (or to the empty state if the history is empty).
+/// \brief Applies `txn` to `state` in place, at O(ops) cost.
 ///
-/// This is the update model of temporal integrity monitoring: each committed
-/// transaction extends the current history by one state, after which the
-/// monitor re-checks potential satisfaction.
+/// Every op is checked before any is applied — the predicate exists
+/// (OutOfRange otherwise), is not a builtin and the tuple has its arity
+/// (InvalidArgument otherwise) — so a rejected transaction leaves `state`
+/// unchanged.
+inline Status ApplyTransaction(DatabaseState* state, const Transaction& txn) {
+  for (const UpdateOp& op : txn) {
+    TIC_ASSIGN_OR_RETURN(Relation * rel, state->MutableRelation(op.predicate));
+    TIC_RETURN_NOT_OK(rel->CheckArity(op.tuple));
+  }
+  for (const UpdateOp& op : txn) {
+    Status applied = op.kind == UpdateOp::Kind::kInsert
+                         ? state->Insert(op.predicate, op.tuple)
+                         : state->Erase(op.predicate, op.tuple);
+    if (!applied.ok()) return applied;  // unreachable: every op checked above
+  }
+  return Status::OK();
+}
+
+/// \brief Appends to `history` the state obtained by applying `txn` to its last
+/// state (or to the empty state if the history is empty). A rejected
+/// transaction appends nothing.
 inline Status ApplyTransaction(History* history, const Transaction& txn) {
   if (txn.empty() && !history->empty()) {
     // Identity update: alias the previous state instead of deep-copying every
     // relation — the steady-state fast path costs one shared_ptr append.
     return history->AppendAliasOfLast();
   }
-  DatabaseState* next = nullptr;
-  if (history->empty()) {
-    next = history->AppendEmptyState();
-  } else {
-    TIC_ASSIGN_OR_RETURN(next, history->AppendCopyOfLast());
-  }
-  for (const UpdateOp& op : txn) {
-    switch (op.kind) {
-      case UpdateOp::Kind::kInsert:
-        TIC_RETURN_NOT_OK(next->Insert(op.predicate, op.tuple));
-        break;
-      case UpdateOp::Kind::kDelete:
-        TIC_RETURN_NOT_OK(next->Erase(op.predicate, op.tuple));
-        break;
-    }
-  }
-  return Status::OK();
+  DatabaseState next = history->empty()
+                           ? DatabaseState(history->vocabulary())
+                           : history->state(history->length() - 1);
+  TIC_RETURN_NOT_OK(ApplyTransaction(&next, txn));
+  return history->AppendState(std::move(next));
 }
 
 }  // namespace tic

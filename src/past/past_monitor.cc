@@ -11,25 +11,27 @@ namespace past {
 using fotl::NodeKind;
 
 PastMonitor::PastMonitor(std::shared_ptr<fotl::FormulaFactory> factory,
-                         History history, Program program)
+                         std::vector<Value> constant_interp, Program program)
     : ffac_(std::move(factory)),
       program_(std::move(program)),
-      history_(std::move(history)) {}
+      state_(ffac_->vocabulary()),
+      constant_interp_(std::move(constant_interp)) {}
 
 Result<std::unique_ptr<PastMonitor>> PastMonitor::Create(
     std::shared_ptr<fotl::FormulaFactory> factory, fotl::Formula constraint,
     std::vector<Value> constant_interp) {
   TIC_ASSIGN_OR_RETURN(Program program,
                        Lower(*factory->vocabulary(), constraint));
-  TIC_ASSIGN_OR_RETURN(
-      History h,
-      History::Create(factory->vocabulary(), std::move(constant_interp)));
-  std::unique_ptr<PastMonitor> m(
-      new PastMonitor(std::move(factory), std::move(h), std::move(program)));
+  TIC_RETURN_NOT_OK(
+      CheckConstantInterpretation(*factory->vocabulary(), constant_interp));
+  std::unique_ptr<PastMonitor> m(new PastMonitor(
+      std::move(factory), std::move(constant_interp), std::move(program)));
 
   // Initial domain: constants plus the fresh-element stand-ins (negative
   // codes), with dense ids in domain order.
-  std::vector<Value> initial = m->history_.RelevantSet();
+  std::vector<Value> initial = m->constant_interp_;
+  std::sort(initial.begin(), initial.end());
+  initial.erase(std::unique(initial.begin(), initial.end()), initial.end());
   m->standin_base_ = initial.size();
   for (size_t i = 0; i < m->program_.num_z; ++i) {
     initial.push_back(-static_cast<Value>(i) - 1);
@@ -53,7 +55,7 @@ Result<std::unique_ptr<PastMonitor>> PastMonitor::Create(
     if (in.kind == NodeKind::kAtom) {
       for (const fotl::Term& term : in.node->terms()) {
         if (term.is_constant()) {
-          m->const_atom_vals_.push_back(m->history_.ConstantValue(term.id));
+          m->const_atom_vals_.push_back(m->constant_interp_[term.id]);
         }
       }
     }
@@ -239,10 +241,10 @@ bool PastMonitor::EvalRange(uint32_t begin, uint32_t end) {
       case NodeKind::kEquals: {
         const auto& terms = in.node->terms();
         const Value a = terms[0].is_constant()
-                            ? history_.ConstantValue(terms[0].id)
+                            ? constant_interp_[terms[0].id]
                             : env_[terms[0].id];
         const Value b = terms[1].is_constant()
-                            ? history_.ConstantValue(terms[1].id)
+                            ? constant_interp_[terms[1].id]
                             : env_[terms[1].id];
         vals_.push_back(a == b ? 1 : 0);
         break;
@@ -252,12 +254,12 @@ bool PastMonitor::EvalRange(uint32_t begin, uint32_t end) {
         args_scratch_.clear();
         for (const fotl::Term& t : in.node->terms()) {
           const Value v =
-              t.is_constant() ? history_.ConstantValue(t.id) : env_[t.id];
+              t.is_constant() ? constant_interp_[t.id] : env_[t.id];
           has_z = has_z || v < 0;  // stand-ins are in no relation
           args_scratch_.push_back(v);
         }
         vals_.push_back(
-            !has_z && cur_state_->Holds(in.node->predicate(), args_scratch_)
+            !has_z && state_.Holds(in.node->predicate(), args_scratch_)
                 ? 1
                 : 0);
         break;
@@ -307,12 +309,10 @@ bool PastMonitor::EvalRange(uint32_t begin, uint32_t end) {
 }
 
 Result<PastVerdict> PastMonitor::ApplyTransaction(const Transaction& txn) {
-  TIC_RETURN_NOT_OK(tic::ApplyTransaction(&history_, txn));
-  const size_t t = history_.length() - 1;  // physical index into history_
+  TIC_RETURN_NOT_OK(tic::ApplyTransaction(&state_, txn));
   PastVerdict verdict;
-  verdict.time = time_base_ + t;  // absolute instant since creation
+  verdict.time = num_states_++;  // absolute instant of the new state
   verdict.first_violation = last_verdict_.first_violation;
-  cur_state_ = &history_.state(t);
 
   // Extend the domain with elements that just became relevant. Every element
   // active now but not before must occur in one of this transaction's
@@ -321,7 +321,7 @@ Result<PastVerdict> PastMonitor::ApplyTransaction(const Transaction& txn) {
   fresh_scratch_.clear();
   for (const UpdateOp& op : txn) {
     if (op.kind != UpdateOp::Kind::kInsert) continue;
-    if (!cur_state_->Holds(op.predicate, op.tuple)) continue;
+    if (!state_.Holds(op.predicate, op.tuple)) continue;
     for (Value v : op.tuple) {
       if (elem_id_.Contains(v)) continue;
       bool pending = false;
@@ -499,7 +499,7 @@ Result<PastVerdict> PastMonitor::ApplyTransaction(const Transaction& txn) {
   }
   verdict.satisfied = ok;
   if (!ok && !verdict.first_violation.has_value()) {
-    verdict.first_violation = time_base_ + t;
+    verdict.first_violation = verdict.time;
   }
 
   // Update the Prev tables' source columns LAST — their value phase above
@@ -595,13 +595,13 @@ PastMonitor::StateImage PastMonitor::ExportImage() const {
     ti.changed = tb.changed;
     ti.pending = tb.pending;
   }
-  img.first_instant = first_instant_;
+  img.num_states = num_states_;
   img.last_verdict = last_verdict_;
   img.time_base = time_base_;
   return img;
 }
 
-Status PastMonitor::RestoreImage(StateImage image, History history) {
+Status PastMonitor::RestoreImage(StateImage image, DatabaseState state) {
   if (image.tables.size() != tables_.size()) {
     return Status::InvalidArgument(
         "past image table count does not match the compiled program");
@@ -612,7 +612,10 @@ Status PastMonitor::RestoreImage(StateImage image, History history) {
   if (image.prev_domain_size > image.domain.size()) {
     return Status::InvalidArgument("past image prev_domain_size out of range");
   }
-  history_ = std::move(history);
+  if (image.time_base > 0 && image.time_base >= image.num_states) {
+    return Status::InvalidArgument("past image time base past the last state");
+  }
+  state_ = std::move(state);
   domain_ = std::move(image.domain);
   elem_id_.Clear();
   for (size_t i = 0; i < domain_.size(); ++i) {
@@ -637,7 +640,8 @@ Status PastMonitor::RestoreImage(StateImage image, History history) {
   }
   touched_flag_.assign(domain_.size(), 0);
   touched_.clear();
-  first_instant_ = image.first_instant;
+  num_states_ = image.num_states;
+  first_instant_ = num_states_ == 0;
   last_verdict_ = image.last_verdict;
   time_base_ = image.time_base;
   return Status::OK();

@@ -35,7 +35,7 @@ struct PastVerdict {
 /// instant <= now. It is "history-less": per update it touches only
 /// constant-size-per-element auxiliary tables (one per temporal subformula of
 /// A, keyed by valuations over the relevant set plus fresh-element
-/// stand-ins), never the stored history — so the per-update cost is
+/// stand-ins), never a past database state — so the per-update cost is
 /// independent of the history length (Experiment E6/E10).
 ///
 /// The constraint is compiled once by the fotl -> past lowering pass
@@ -64,10 +64,12 @@ class PastMonitor {
       std::shared_ptr<fotl::FormulaFactory> factory, fotl::Formula constraint,
       std::vector<Value> constant_interp = {});
 
-  /// Applies `txn` (appending one state) and evaluates A at the new instant.
+  /// Applies `txn` to the current state in place and evaluates A at the new
+  /// instant. A transaction with an invalid op changes nothing.
   Result<PastVerdict> ApplyTransaction(const Transaction& txn);
 
-  const History& history() const { return history_; }
+  /// The current database state: the only one the evaluator reads.
+  const DatabaseState& current_state() const { return state_; }
   const PastVerdict& last_verdict() const { return last_verdict_; }
 
   /// Total auxiliary-table entries — the "history-less" state size, which
@@ -78,24 +80,21 @@ class PastMonitor {
   /// subformula); the router's route_decision event logs it.
   size_t num_tables() const { return tables_.size(); }
 
-  /// Absolute instant of physical history state 0 (states folded away).
+  /// Absolute instant of the last checkpoint: the current instant at the
+  /// last Compact(), 0 before the first.
   size_t time_base() const { return time_base_; }
 
-  /// History compaction: the evaluator is history-less (tables carry all
-  /// temporal state), so folding is pure truncation — drop every stored state
-  /// but the current one and advance time_base().
+  /// Compaction: the tables carry all temporal state and no past database
+  /// state is stored, so a fold only advances time_base().
   Status Compact() {
-    if (history_.length() <= 1) return Status::OK();
-    const size_t folded = history_.length() - 1;
-    TIC_RETURN_NOT_OK(history_.DropPrefix(folded));
-    time_base_ += folded;
+    if (num_states_ > 0) time_base_ = num_states_ - 1;
     return Status::OK();
   }
 
   /// \brief Complete serializable auxiliary state: everything
   /// ApplyTransaction reads besides the program (recompiled from the
-  /// constraint) and the current history state. `changed`/`pending` carry the
-  /// still-settling delta frontier across the snapshot boundary.
+  /// constraint) and the current database state. `changed`/`pending` carry
+  /// the still-settling delta frontier across the snapshot boundary.
   struct StateImage {
     std::vector<Value> domain;
     size_t standin_base = 0;
@@ -107,19 +106,20 @@ class PastMonitor {
       std::vector<uint64_t> pending;
     };
     std::vector<TableImage> tables;
-    bool first_instant = true;
+    size_t num_states = 0;  // states applied so far
     PastVerdict last_verdict;
     size_t time_base = 0;
   };
   StateImage ExportImage() const;
-  /// Replaces the evaluator's state with `image` + `history` (built over the
+  /// Replaces the evaluator's state with `image` + `state` (built over the
   /// same vocabulary text the constraint was compiled from). The table count
-  /// must match the compiled program — InvalidArgument otherwise.
-  Status RestoreImage(StateImage image, History history);
+  /// must match the compiled program, and the time base must not pass the
+  /// last state — InvalidArgument otherwise.
+  Status RestoreImage(StateImage image, DatabaseState state);
 
  private:
-  PastMonitor(std::shared_ptr<fotl::FormulaFactory> factory, History history,
-              Program program);
+  PastMonitor(std::shared_ptr<fotl::FormulaFactory> factory,
+              std::vector<Value> constant_interp, Program program);
 
   // Runtime state of one auxiliary table (schema in program_.tables). `val`
   // holds the truth value at the latest computed instant, updated in place
@@ -171,7 +171,9 @@ class PastMonitor {
 
   std::shared_ptr<fotl::FormulaFactory> ffac_;
   Program program_;
-  History history_;
+  // The current database state, updated in place, and the rigid constants.
+  DatabaseState state_;
+  std::vector<Value> constant_interp_;
 
   // Dense element ids: domain_[id] is the element, elem_id_ inverts it. The
   // domain only grows (initial relevant set, stand-ins, then fresh elements
@@ -201,12 +203,11 @@ class PastMonitor {
   Tuple args_scratch_;            // atom argument buffer
   std::vector<Value> fresh_scratch_;
   std::vector<uint32_t> ext_ids_;  // external-substitution odometer
-  const DatabaseState* cur_state_ = nullptr;  // state of the instant in eval
 
   PastVerdict last_verdict_;
-  bool first_instant_ = true;
-  // Absolute instant of physical history state 0: states folded by Compact().
-  size_t time_base_ = 0;
+  size_t num_states_ = 0;  // states so far; the current instant is one less
+  bool first_instant_ = true;  // no instant evaluated yet
+  size_t time_base_ = 0;       // see time_base()
 };
 
 }  // namespace past

@@ -2,7 +2,8 @@
 //
 // The flat-container layer (src/common/flat/) exists so that a warmed-up
 // Monitor::ApplyTransaction on the automaton backend's memo-hit path touches
-// the heap exactly zero times: history append aliases the previous state,
+// the heap exactly zero times: an empty transaction applies no op to the
+// monitor's one in-place database state,
 // the propositional state stays inline in PropState's small-vector, letter
 // lookup probes a warm flat map, and the (state, signature) transition is a
 // flat-map hit. This suite interposes the global operator new/delete family
@@ -63,7 +64,7 @@ TEST_F(AllocCountTest, HarnessIsCompiledIn) {
 }
 
 // The headline guarantee: after warm-up, an empty-transaction update on the
-// automaton backend — history alias append, letter probes, signature hit,
+// automaton backend — no database op, letter probes, signature hit,
 // transition-memo hit, cached liveness — performs ZERO heap allocations.
 TEST_F(AllocCountTest, SteadyStateMonitorStepAllocatesNothing) {
   ASSERT_TRUE(testing::AllocCountingAvailable());
@@ -78,7 +79,7 @@ TEST_F(AllocCountTest, SteadyStateMonitorStepAllocatesNothing) {
   Transaction retract;
   retract.push_back(UpdateOp::Delete(sub_, {7}));
   ASSERT_TRUE(m->ApplyTransaction(retract).ok());
-  // Warm-up: amortized growth (history/word vectors double past the measure
+  // Warm-up: amortized growth (the word vector doubles past the measure
   // window), memo and signature tables fill, letter probe capacity settles.
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(m->ApplyTransaction(Transaction{}).ok());
@@ -178,7 +179,7 @@ TEST_F(AllocCountTest, SteadyStateStepWithRecorderEnabledAllocatesNothing) {
     EXPECT_EQ(window.deallocations(), 0u);
   }
   {
-    // Warmed recurring delta WITH letter flips: the db-side state copy
+    // Warmed recurring delta WITH letter flips: the db-side insert
     // allocates (as RecurringDeltaStaysFlat documents), but turning the
     // recorder off must not change the monitor-side count — i.e. recording
     // the kLetterFlip events is itself allocation-free.
@@ -209,9 +210,10 @@ TEST_F(AllocCountTest, SteadyStateStepWithRecorderEnabledAllocatesNothing) {
 // recycled orders puts its 12 order pairs on slots of one cohort, and each
 // order's Sub/Fill letters are watched by the 6 slots of the pairs that
 // mention it, so every measured update routes flips through multi-slot watch
-// lists and re-steps about 10 hot slots. The database layer deep-copies the
-// state on every non-empty transaction; a shadow History fed the same
-// transactions measures that cost, and the monitor must add nothing to it.
+// lists and re-steps about 10 hot slots. The monitor applies each transaction
+// to its one database state in place; a shadow DatabaseState fed the same
+// transactions measures what the ops themselves allocate (the inserted
+// tuples), and the monitor must add nothing to it.
 TEST_F(AllocCountTest, SteadyStateReleaseCohortFlipsAllocateNothing) {
   ASSERT_TRUE(testing::AllocCountingAvailable());
   auto fifo = *fotl::Parse(
@@ -220,7 +222,7 @@ TEST_F(AllocCountTest, SteadyStateReleaseCohortFlipsAllocateNothing) {
       "(Sub(y) & ((!Fill(x)) until (Fill(y) & !Fill(x))))))");
   auto m = *Monitor::Create(fac_, fifo);
   ASSERT_TRUE(m->options().router);
-  History shadow = *History::Create(vocab_);
+  DatabaseState shadow(vocab_);
 
   // Order t % 4 + 1 is submitted at t and filled at t + 1 (the
   // BM_Fifo_MonitorPerUpdate stream): first come, first served.
@@ -239,8 +241,8 @@ TEST_F(AllocCountTest, SteadyStateReleaseCohortFlipsAllocateNothing) {
     }
     return out;
   };
-  // Warm-up: 150 updates leave the word and both histories between two
-  // capacity doublings for the whole measured window.
+  // Warm-up: 150 updates leave the word between two capacity doublings for
+  // the whole measured window.
   size_t t = 0;
   for (; t < 150; ++t) {
     Transaction x = txn(t);
@@ -269,10 +271,54 @@ TEST_F(AllocCountTest, SteadyStateReleaseCohortFlipsAllocateNothing) {
     ASSERT_TRUE(v.ok());
     ASSERT_TRUE(v->potentially_satisfied);
   }
-  EXPECT_GT(db_allocs, 0u);  // the shadow really measures the state copies
+  EXPECT_GT(db_allocs, 0u);  // the shadow really measures the inserts
   EXPECT_EQ(monitor_allocs, db_allocs)
       << "warmed release-cohort updates must allocate nothing beyond the "
-         "database state copy";
+         "transaction's own database ops";
+}
+
+// A non-empty update costs what its ops cost, not what the database holds:
+// the monitor applies each transaction to its one state in place, where a
+// per-transaction copy of the state would allocate per stored tuple. The
+// same recurring 3-op transactions on a warmed session monitor must
+// allocate exactly as much over 1 000 entities as over 100.
+TEST_F(AllocCountTest, NonEmptyUpdateAllocationsIndependentOfDatabaseSize) {
+  ASSERT_TRUE(testing::AllocCountingAvailable());
+  // The bench_e2e session constraint, with Sub as Open and Fill as Closed.
+  auto session = *fotl::Parse(fac_.get(),
+                              "forall x . G (Sub(x) -> X (Sub(x) | Fill(x)))");
+  // Close session 1 and open session 3 (which stays closed too), then undo.
+  const Transaction a{UpdateOp::Delete(sub_, {1}), UpdateOp::Insert(fill_, {1}),
+                      UpdateOp::Insert(sub_, {3})};
+  const Transaction b{UpdateOp::Delete(fill_, {1}), UpdateOp::Insert(sub_, {1}),
+                      UpdateOp::Delete(sub_, {3})};
+  auto measure = [&](Value entities) -> uint64_t {
+    auto m = *Monitor::Create(fac_, session);
+    Transaction preload = Txn({1});  // session 1 open, the rest closed
+    for (Value e = 2; e <= entities; ++e) {
+      preload.push_back(UpdateOp::Insert(fill_, {e}));
+    }
+    EXPECT_TRUE(m->ApplyTransaction(preload).ok());
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_TRUE(m->ApplyTransaction(a).ok());
+      EXPECT_TRUE(m->ApplyTransaction(b).ok());
+    }
+    EXPECT_EQ(m->current_state().TotalTuples(), static_cast<size_t>(entities));
+    testing::ResetAllocCounts();
+    testing::AllocWindow window;
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_TRUE(m->ApplyTransaction(a).ok());
+      EXPECT_TRUE(m->ApplyTransaction(b).ok());
+    }
+    const uint64_t allocs = window.allocations();
+    EXPECT_TRUE(m->last_verdict().potentially_satisfied);
+    return allocs;
+  };
+  const uint64_t small_db = measure(100);
+  const uint64_t large_db = measure(1000);
+  EXPECT_GT(small_db, 0u);  // the inserted tuples themselves
+  EXPECT_EQ(large_db, small_db)
+      << "a non-empty update must not allocate per stored tuple";
 }
 
 // Cohort growth is O(delta), not O(population): appending one fresh element
@@ -307,7 +353,7 @@ TEST_F(AllocCountTest, CohortGrowthIsDeltaBounded) {
 }
 
 // Same bound for a *recurring delta* (insert+delete cycle the memo has seen
-// before): the transaction copies the state, so the db layer allocates, but
+// before): the transaction's inserts allocate in the db layer, but
 // the monitor side — signature, transition, verdict — must still hit warm
 // structures; assert the per-update allocation count stays flat and small
 // instead of growing with history length.
@@ -382,7 +428,7 @@ TEST_F(AllocCountTest, SteadyStatePointAlgebraStepAllocatesNothing) {
     EXPECT_EQ(window.deallocations(), 0u);
   }
   {
-    // Recurring antecedent flips (Sub(3) on/off): the db-side state copy
+    // Recurring antecedent flips (Sub(3) on/off): the db-side insert
     // allocates, the PA side must stay flat — same delta later must not
     // cost more.
     Transaction arm = Txn({3});
@@ -464,9 +510,7 @@ TEST_F(AllocCountTest, RestoredMonitorSteadyStateAllocatesNothing) {
   auto restored = std::move(*restored_r);
 
   // Warm-up after restore: first update recompiles the joint graph and
-  // cohort placement; subsequent updates settle every table (the count also
-  // pushes the history vector past its next capacity doubling, which would
-  // otherwise land mid-window).
+  // cohort placement; subsequent updates settle every table.
   for (int i = 0; i < 150; ++i) {
     ASSERT_TRUE(restored->ApplyTransaction(Transaction{}).ok());
   }

@@ -7,8 +7,10 @@
 
 #include <random>
 
+#include "checker/checkpoint.h"
 #include "checker/extension.h"
 #include "checker/monitor.h"
+#include "checker/trigger.h"
 #include "fotl/parser.h"
 
 namespace tic {
@@ -52,7 +54,7 @@ class MonitorTest : public ::testing::Test {
     Result<MonitorVerdict> v = m->ApplyTransaction(txn);
     if (!v.ok()) return v;
     TIC_RETURN_NOT_OK(m->Compact());
-    EXPECT_EQ(m->history().length(), 1u);
+    EXPECT_EQ(m->time_base(), v->time);  // the word since the fold is empty
     return v;
   }
 
@@ -164,12 +166,67 @@ TEST_F(MonitorTest, AgreesWithBatchCheckerOnRandomStreams) {
   }
 }
 
-TEST_F(MonitorTest, HistoryAccessor) {
+TEST_F(MonitorTest, CurrentStateAccessor) {
   auto m = *Monitor::Create(fac_, submit_once_);
+  EXPECT_EQ(m->current_state().TotalTuples(), 0u);
   ASSERT_TRUE(m->ApplyTransaction(Txn({4}, {})).ok());
-  EXPECT_EQ(m->history().length(), 1u);
-  EXPECT_TRUE(m->history().state(0).Holds(sub_, {4}));
+  EXPECT_TRUE(m->current_state().Holds(sub_, {4}));
   EXPECT_EQ(m->last_verdict().time, 0u);
+  ASSERT_TRUE(m->ApplyTransaction(Txn({}, {4}, {4})).ok());
+  EXPECT_FALSE(m->current_state().Holds(sub_, {4}));  // updated in place
+  EXPECT_TRUE(m->current_state().Holds(fill_, {4}));
+  EXPECT_EQ(m->last_verdict().time, 1u);
+  EXPECT_EQ(m->time_base(), 0u);
+}
+
+// A transaction whose second op has the wrong arity is rejected before its
+// first op lands, on every route: the monitor's snapshot bytes are identical
+// across it, the rejected insert does not hold, and the next transaction
+// gets the next instant. A trigger manager's history gains no state either.
+TEST_F(MonitorTest, RejectedTransactionLeavesMonitorUnchanged) {
+  const Transaction bad{UpdateOp::Insert(sub_, {2}),
+                        UpdateOp::Insert(fill_, {3, 4})};
+  CheckOptions progression;
+  progression.backend = MonitorBackend::kProgression;
+  const fotl::Formula fill_after_sub =
+      *fotl::Parse(fac_.get(), "G (forall x . Fill(x) -> O Sub(x))");
+  struct Route {
+    fotl::Formula phi;
+    CheckOptions options;
+    MonitorBackend backend;
+  };
+  for (const Route& r :
+       {Route{submit_once_, {}, MonitorBackend::kAutomaton},
+        Route{submit_once_, progression, MonitorBackend::kProgression},
+        Route{fill_after_sub, {}, MonitorBackend::kPastStateless}}) {
+    auto m = *Monitor::Create(fac_, r.phi, {}, r.options);
+    auto v0 = m->ApplyTransaction(Txn({1}, {}));
+    ASSERT_TRUE(v0.ok()) << v0.status().ToString();
+    ASSERT_EQ(v0->backend, r.backend);
+    const std::string before = *MonitorCheckpoint::Serialize(*m);
+    auto rejected = m->ApplyTransaction(bad);
+    EXPECT_TRUE(rejected.status().IsInvalidArgument())
+        << rejected.status().ToString();
+    // EXPECT_TRUE, not EXPECT_EQ: a failure should not print binary blobs.
+    EXPECT_TRUE(*MonitorCheckpoint::Serialize(*m) == before)
+        << "rejected transaction changed the monitor, backend "
+        << static_cast<int>(r.backend);
+    EXPECT_FALSE(m->current_state().Holds(sub_, {2}));
+    auto v1 = m->ApplyTransaction(Txn({}, {1}, {1}));
+    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+    EXPECT_EQ(v1->time, 1u);
+    EXPECT_TRUE(v1->potentially_satisfied);
+    EXPECT_FALSE(m->current_state().Holds(sub_, {2}));
+  }
+
+  auto tm = *TriggerManager::Create(fac_);
+  ASSERT_TRUE(
+      tm->AddTrigger("dup", *fotl::Parse(fac_.get(), "F (Sub(x) & X F Sub(x))"))
+          .ok());
+  ASSERT_TRUE(tm->OnTransaction(Txn({1}, {})).ok());
+  EXPECT_TRUE(tm->OnTransaction(bad).status().IsInvalidArgument());
+  ASSERT_EQ(tm->history().length(), 1u);
+  EXPECT_FALSE(tm->history().state(0).Holds(sub_, {2}));
 }
 
 TEST_F(MonitorTest, HistoryLessModeMatchesEagerOnRandomStreams) {

@@ -47,14 +47,19 @@ class ProvenanceTest : public ::testing::Test {
 
   // Drives the canonical submit-once violation: Sub(7), withdraw, resubmit.
   // The violation lands at t=2. With `compact`, the monitor folds its
-  // history after every update (history-less monitoring).
-  MonitorVerdict PlantViolation(Monitor* m, bool compact = false) {
+  // history after every update (history-less monitoring). `fed`, when given,
+  // records the transactions as a History (the monitor keeps no past state).
+  MonitorVerdict PlantViolation(Monitor* m, bool compact = false,
+                                History* fed = nullptr) {
     auto apply = [&](const Transaction& txn) {
       auto v = m->ApplyTransaction(txn);
       EXPECT_TRUE(v.ok()) << v.status().ToString();
+      if (fed != nullptr) {
+        EXPECT_TRUE(ApplyTransaction(fed, txn).ok());
+      }
       if (compact) {
         EXPECT_TRUE(m->Compact().ok());
-        EXPECT_EQ(m->history().length(), 1u);
+        EXPECT_EQ(m->time_base(), v->time);
       }
       return *v;
     };
@@ -194,36 +199,35 @@ TEST_F(ProvenanceTest, TrajectoryAfterCompactReplaysFromTheCheckpoint) {
 
 TEST_F(ProvenanceTest, WitnessReplayReproducesThePlantedViolation) {
   auto m = *Monitor::Create(fac_, submit_once_);
-  MonitorVerdict v = PlantViolation(m.get());
+  History fed = *History::Create(vocab_, {});
+  MonitorVerdict v = PlantViolation(m.get(), /*compact=*/false, &fed);
   ASSERT_FALSE(v.explanations().empty());
-  auto replay = ReplayHistory(fac_, submit_once_, m->history());
+  auto replay = ReplayHistory(fac_, submit_once_, fed);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_TRUE(replay->violated);
   EXPECT_EQ(replay->violated_at, v.explanations().front().time);
-  EXPECT_EQ(replay->updates, m->history().length());
+  EXPECT_EQ(replay->updates, fed.length());
 }
 
 TEST_F(ProvenanceTest, TransactionsFromHistoryRebuildStateForState) {
   auto m = *Monitor::Create(fac_, submit_once_);
-  ASSERT_TRUE(m->ApplyTransaction(Txn({1, 2}, {2})).ok());
-  ASSERT_TRUE(m->ApplyTransaction(Txn({3}, {}, {1})).ok());
-  ASSERT_TRUE(m->ApplyTransaction(Txn({}, {3})).ok());
-  auto txns = TransactionsFromHistory(m->history());
+  History fed = *History::Create(vocab_, {});
+  for (const Transaction& txn :
+       {Txn({1, 2}, {2}), Txn({3}, {}, {1}), Txn({}, {3})}) {
+    ASSERT_TRUE(m->ApplyTransaction(txn).ok());
+    ASSERT_TRUE(ApplyTransaction(&fed, txn).ok());
+  }
+  auto txns = TransactionsFromHistory(fed);
   ASSERT_TRUE(txns.ok());
   History rebuilt = *History::Create(vocab_, {});
   for (const Transaction& t : *txns) {
     ASSERT_TRUE(ApplyTransaction(&rebuilt, t).ok());
   }
-  ASSERT_EQ(rebuilt.length(), m->history().length());
+  ASSERT_EQ(rebuilt.length(), fed.length());
   for (size_t t = 0; t < rebuilt.length(); ++t) {
-    for (PredicateId p : {sub_, fill_}) {
-      for (Value e : {1, 2, 3}) {
-        EXPECT_EQ(rebuilt.state(t).Holds(p, {e}),
-                  m->history().state(t).Holds(p, {e}))
-            << "t=" << t << " pred=" << p << " elem=" << e;
-      }
-    }
+    EXPECT_EQ(rebuilt.state(t), fed.state(t)) << "t=" << t;
   }
+  EXPECT_EQ(rebuilt.state(rebuilt.length() - 1), m->current_state());
 }
 
 TEST_F(ProvenanceTest, TriggerFiringsCarryAnExplanation) {
@@ -294,7 +298,7 @@ void RunDifferentialFamily(uint32_t seed_base, int num_cases, MonitorMode mode,
       if (compact) {
         Status s = (*monitor)->Compact();
         ASSERT_TRUE(s.ok()) << label << ": " << s.ToString();
-        ASSERT_EQ((*monitor)->history().length(), 1u) << label;
+        ASSERT_EQ((*monitor)->time_base(), v->time) << label;
       }
       if (violated) continue;  // dead monitor: diagnosis checked below
       if (v->permanently_violated) {
@@ -311,12 +315,10 @@ void RunDifferentialFamily(uint32_t seed_base, int num_cases, MonitorMode mode,
     if (!violated) continue;
     ++*violated_count;
 
-    History history = (*monitor)->history();
-    if (compact) {
-      history = *History::Create(kase.factory->vocabulary());
-      for (const Transaction& txn : kase.stream) {
-        ASSERT_TRUE(ApplyTransaction(&history, txn).ok()) << label;
-      }
+    // The monitor keeps no past state: replay the stream it was fed.
+    History history = *History::Create(kase.factory->vocabulary());
+    for (const Transaction& txn : kase.stream) {
+      ASSERT_TRUE(ApplyTransaction(&history, txn).ok()) << label;
     }
     auto outcome = ReplayHistory(kase.factory, kase.sentence, history,
                                  options, mode);

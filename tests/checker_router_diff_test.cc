@@ -358,7 +358,8 @@ TEST(RouterDiffTest, NonUniversalPastSentencesRouteToPastEvaluator) {
   ASSERT_TRUE(v1.ok());
   EXPECT_FALSE(v1->potentially_satisfied);
   EXPECT_TRUE(v1->permanently_violated);
-  EXPECT_EQ((*m)->history().length(), 2u);
+  EXPECT_EQ(v1->time, 1u);
+  EXPECT_TRUE((*m)->current_state().Holds(fill, {2}));
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ namespace {
 namespace tt = ::tic::testing;
 
 // Builds a representative snapshot with every universal-route section
-// populated: non-trivial history with alias runs, letters, instances, word,
+// populated: current state, letters, instances, a word with a repeated run,
 // relevant set, compaction checkpoint, verdict cache.
 std::string UniversalBlob() {
   auto v = std::make_shared<Vocabulary>();
@@ -44,7 +44,7 @@ std::string UniversalBlob() {
     if (t > 0) txn.push_back(UpdateOp::Delete(sub, {100 + t - 1}));
     EXPECT_TRUE(m->ApplyTransaction(txn).ok());
     if (t == 2) {
-      EXPECT_TRUE(m->ApplyTransaction(Transaction{}).ok());  // alias run
+      EXPECT_TRUE(m->ApplyTransaction(Transaction{}).ok());  // repeated run
     }
   }
   EXPECT_TRUE(m->Compact().ok());
@@ -262,6 +262,13 @@ TEST(SnapshotVersionTest, RetiredModeAndOldStateVersionFailClosed) {
   EXPECT_NE(old_version.status().ToString().find("version 1"),
             std::string::npos)
       << old_version.status().ToString();
+
+  // Version 2 stored every database state since the last compaction.
+  auto v2 = MonitorCheckpoint::Restore(
+      WithMeta(blob, [](snapshot::MetaPrefix* m) { m->state_version = 2; }));
+  ASSERT_FALSE(v2.ok()) << "restore accepted state version 2";
+  EXPECT_NE(v2.status().ToString().find("version 2"), std::string::npos)
+      << v2.status().ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Routes, SnapshotCrashTest, ::testing::Bool(),

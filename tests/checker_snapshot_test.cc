@@ -110,7 +110,8 @@ TEST_F(SnapshotTest, RoundTripMidStreamPreservesVerdicts) {
   // The restored monitor reports the same last verdict...
   ExpectSameVerdict(original->last_verdict(), (*restored)->last_verdict(),
                     "last_verdict after restore");
-  EXPECT_EQ(original->history().length(), (*restored)->history().length());
+  EXPECT_EQ(original->current_state(), (*restored)->current_state());
+  EXPECT_EQ(original->time_base(), (*restored)->time_base());
 
   // ...and stays verdict-equivalent on the rest of the stream, including a
   // violation (Sub(200) twice) that must flip both monitors on the same
@@ -198,7 +199,7 @@ TEST_F(SnapshotTest, CompactPreservesVerdictsAndAbsoluteTime) {
     if (t == 4 || t == 8) {
       auto s = compacted->Compact();
       ASSERT_TRUE(s.ok()) << s.ToString();
-      EXPECT_EQ(compacted->history().length(), 1u);
+      EXPECT_EQ(compacted->current_state(), reference->current_state());
       EXPECT_EQ(compacted->time_base(), t);
     }
   }
@@ -221,7 +222,7 @@ TEST_F(SnapshotTest, CompactIsNoOpOnShortHistory) {
   EXPECT_TRUE(m->Compact().ok());  // empty history
   ASSERT_TRUE(m->ApplyTransaction(Txn({7})).ok());
   EXPECT_TRUE(m->Compact().ok());  // single state
-  EXPECT_EQ(m->history().length(), 1u);
+  EXPECT_TRUE(m->current_state().Holds(sub_, {7}));
   EXPECT_EQ(m->time_base(), 0u);
 }
 
@@ -257,6 +258,37 @@ TEST_F(SnapshotTest, CompactedSnapshotSizeIsFlatInHistoryLength) {
       << "uncompacted snapshot grows with history (sanity: compaction is "
          "doing something)";
   EXPECT_LT(compact_long, raw_long);
+}
+
+TEST_F(SnapshotTest, UncompactedHistorySectionIsOneState) {
+  // A monitor stores the current database state alone, compacted or not: two
+  // uncompacted monitors driven through 10 and 100 non-empty transactions
+  // that end in equal states write identical history sections.
+  auto history_section = [&](size_t len) -> std::string {
+    auto m = *Monitor::Create(fac_, submit_once_);
+    for (size_t t = 0; t < len; ++t) {
+      Transaction txn;
+      if (t % 2 == 0) {
+        txn.push_back(UpdateOp::Insert(fill_, {1}));
+        txn.push_back(UpdateOp::Delete(fill_, {2}));
+      } else {
+        txn.push_back(UpdateOp::Insert(fill_, {2}));
+        txn.push_back(UpdateOp::Delete(fill_, {1}));
+      }
+      EXPECT_TRUE(m->ApplyTransaction(txn).ok());
+    }
+    EXPECT_EQ(m->time_base(), 0u);
+    std::string blob = *MonitorCheckpoint::Serialize(*m);
+    auto reader = *snapshot::SnapshotReader::Parse(blob);
+    const auto* sec = reader.Find(snapshot::kSecHistory);
+    EXPECT_NE(sec, nullptr);
+    return sec != nullptr ? std::string(sec->payload) : std::string();
+  };
+  const std::string after_10 = history_section(10);
+  const std::string after_100 = history_section(100);
+  EXPECT_FALSE(after_10.empty());
+  EXPECT_TRUE(after_10 == after_100)
+      << after_10.size() << " vs " << after_100.size() << " bytes";
 }
 
 TEST_F(SnapshotTest, CompactThenSnapshotThenRestoreContinues) {
@@ -302,7 +334,7 @@ TEST_F(SnapshotTest, PastRouteRoundTripAndCompact) {
   EXPECT_EQ(original->last_verdict().backend, MonitorBackend::kPastStateless);
 
   ASSERT_TRUE(original->Compact().ok());
-  EXPECT_EQ(original->history().length(), 1u);
+  EXPECT_EQ(original->current_state(), reference->current_state());
   EXPECT_EQ(original->time_base(), 1u);
 
   auto blob = MonitorCheckpoint::Serialize(*original);

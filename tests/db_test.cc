@@ -113,6 +113,26 @@ TEST_F(StateTest, EqualityAndActiveDomain) {
   EXPECT_EQ(dom, (std::unordered_set<Value>{3}));
 }
 
+TEST_F(StateTest, ApplyTransactionInPlaceIsAllOrNothing) {
+  DatabaseState s(vocab_);
+  ASSERT_TRUE(ApplyTransaction(&s, {UpdateOp::Insert(p_, {1}),
+                                    UpdateOp::Insert(p_, {2})})
+                  .ok());
+  ASSERT_TRUE(ApplyTransaction(&s, {UpdateOp::Delete(p_, {1})}).ok());
+  EXPECT_FALSE(s.Holds(p_, {1}));
+  EXPECT_TRUE(s.Holds(p_, {2}));
+  const DatabaseState before = s;
+  // Each bad op comes after a valid one, which must not land either.
+  for (const UpdateOp& bad :
+       {UpdateOp::Insert(p_, {5, 6}), UpdateOp::Delete(p_, {}),
+        UpdateOp::Insert(leq_, {1, 2}), UpdateOp::Insert(99, {1})}) {
+    Status st = ApplyTransaction(&s, {UpdateOp::Insert(p_, {3}), bad});
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(st.IsOutOfRange(), bad.predicate == 99) << st.ToString();
+    EXPECT_TRUE(s == before) << st.ToString();
+  }
+}
+
 class HistoryTest : public ::testing::Test {
  protected:
   HistoryTest() {
@@ -163,6 +183,16 @@ TEST_F(HistoryTest, ApplyTransaction) {
   EXPECT_FALSE(h.state(1).Holds(p_, {1, 2}));
   EXPECT_TRUE(h.state(1).Holds(p_, {3, 4}));
   EXPECT_TRUE(h.state(0).Holds(p_, {1, 2}));  // past states immutable
+}
+
+TEST_F(HistoryTest, RejectedTransactionAppendsNothing) {
+  History h = *History::Create(vocab_, {0});
+  ASSERT_TRUE(ApplyTransaction(&h, {UpdateOp::Insert(p_, {1, 2})}).ok());
+  EXPECT_TRUE(
+      ApplyTransaction(&h, {UpdateOp::Insert(p_, {3, 4}), UpdateOp::Insert(p_, {5})})
+          .IsInvalidArgument());
+  ASSERT_EQ(h.length(), 1u);
+  EXPECT_FALSE(h.state(0).Holds(p_, {3, 4}));
 }
 
 TEST_F(HistoryTest, UltimatelyPeriodicDbIndexing) {

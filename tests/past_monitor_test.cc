@@ -235,7 +235,48 @@ TEST_F(PastMonitorTest, AuxiliaryStateIsHistoryIndependent) {
     if (t == 5) size_at_5 = m->AuxiliaryStateSize();
   }
   EXPECT_EQ(m->AuxiliaryStateSize(), size_at_5);
-  EXPECT_EQ(m->history().length(), 50u);
+  EXPECT_EQ(m->last_verdict().time, 49u);
+  EXPECT_EQ(m->current_state().TotalTuples(), 2u);  // Sub(1), Fill(2)
+}
+
+TEST_F(PastMonitorTest, RestoredImageAndStateContinueInPlace) {
+  // The evaluator reads only its current state, updated in place; a restore
+  // moves a state in, Compact() only advances the time base, and the
+  // restored evaluator then agrees with the original update for update.
+  const std::string phi = "forall x . G (Fill(x) -> O Sub(x))";
+  auto a = *PastMonitor::Create(fac_, Parse_(phi));
+  EXPECT_EQ(a->current_state().TotalTuples(), 0u);
+  ASSERT_TRUE(a->ApplyTransaction(Txn({1, 2}, {})).ok());
+  ASSERT_TRUE(a->ApplyTransaction(Txn({}, {1}, {1})).ok());
+  // Fill(7) and Fill(8) were never submitted: violated at t=2.
+  ASSERT_FALSE(a->ApplyTransaction(Txn({}, {7, 8}))->satisfied);
+  ASSERT_TRUE(a->Compact().ok());
+  EXPECT_EQ(a->time_base(), 2u);
+  EXPECT_FALSE(a->current_state().Holds(sub_, {1}));
+  EXPECT_TRUE(a->current_state().Holds(fill_, {7}));
+
+  auto b = *PastMonitor::Create(fac_, Parse_(phi));
+  ASSERT_TRUE(b->RestoreImage(a->ExportImage(), a->current_state()).ok());
+  EXPECT_EQ(b->time_base(), 2u);
+  EXPECT_EQ(b->current_state(), a->current_state());
+  for (const Transaction& txn :
+       {Txn({3}, {2}, {}, {7, 8}), Txn({}, {3}), Transaction{}}) {
+    auto va = a->ApplyTransaction(txn);
+    auto vb = b->ApplyTransaction(txn);
+    ASSERT_TRUE(va.ok() && vb.ok());
+    EXPECT_EQ(va->time, vb->time);
+    EXPECT_EQ(va->satisfied, vb->satisfied);
+    EXPECT_EQ(va->first_violation, vb->first_violation);
+    EXPECT_EQ(a->current_state(), b->current_state());
+  }
+  EXPECT_EQ(b->last_verdict().time, 5u);
+  EXPECT_EQ(b->last_verdict().first_violation, std::optional<size_t>(2));
+
+  // An image whose time base passes its last state is rejected.
+  PastMonitor::StateImage bad = a->ExportImage();
+  bad.time_base = bad.num_states;
+  EXPECT_TRUE(b->RestoreImage(std::move(bad), a->current_state())
+                  .IsInvalidArgument());
 }
 
 }  // namespace
