@@ -128,72 +128,6 @@ inline const char* BackendName(checker::MonitorBackend backend) {
                                                           : "automaton";
 }
 
-// Extracts --cohort=on,off from argv, compacting the remaining arguments in
-// place (same contract as ParseThreads). Returns `fallback` when the flag is
-// absent or names an unknown value.
-inline std::vector<bool> ParseCohort(int* argc, char** argv,
-                                     std::vector<bool> fallback) {
-  std::vector<char*> keep;
-  std::vector<bool> out;
-  bool valid = true;
-  for (int i = 0; i < *argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--cohort=", 0) == 0) {
-      for (size_t pos = 9; pos < a.size();) {
-        size_t end = a.find(',', pos);
-        if (end == std::string::npos) end = a.size();
-        std::string name = a.substr(pos, end - pos);
-        if (name == "on") {
-          out.push_back(true);
-        } else if (name == "off") {
-          out.push_back(false);
-        } else {
-          valid = false;
-        }
-        pos = end + 1;
-      }
-    } else {
-      keep.push_back(argv[i]);
-    }
-  }
-  *argc = static_cast<int>(keep.size());
-  for (size_t i = 0; i < keep.size(); ++i) argv[i] = keep[i];
-  return (out.empty() || !valid) ? fallback : out;
-}
-
-// Extracts --router=on,off from argv, compacting the remaining arguments in
-// place (same contract as ParseThreads). Returns `fallback` when the flag is
-// absent or names an unknown value.
-inline std::vector<bool> ParseRouter(int* argc, char** argv,
-                                     std::vector<bool> fallback) {
-  std::vector<char*> keep;
-  std::vector<bool> out;
-  bool valid = true;
-  for (int i = 0; i < *argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--router=", 0) == 0) {
-      for (size_t pos = 9; pos < a.size();) {
-        size_t end = a.find(',', pos);
-        if (end == std::string::npos) end = a.size();
-        std::string name = a.substr(pos, end - pos);
-        if (name == "on") {
-          out.push_back(true);
-        } else if (name == "off") {
-          out.push_back(false);
-        } else {
-          valid = false;
-        }
-        pos = end + 1;
-      }
-    } else {
-      keep.push_back(argv[i]);
-    }
-  }
-  *argc = static_cast<int>(keep.size());
-  for (size_t i = 0; i < keep.size(); ++i) argv[i] = keep[i];
-  return (out.empty() || !valid) ? fallback : out;
-}
-
 // Reporter for --json=<path>: the normal console table, plus a record file
 // written to `path` on exit —
 // `{"meta": {git_sha, build_type, telemetry, ..., recorder}, "records":

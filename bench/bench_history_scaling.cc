@@ -48,13 +48,12 @@ void BM_Fifo_HistorySweep(benchmark::State& state) {
 // automaton backend's steady-state updates are memoized lookups, so its
 // per-update cost is flat AND thread-independent).
 void BM_Fifo_MonitorPerUpdate(benchmark::State& state, size_t threads,
-                              checker::MonitorBackend backend, bool router) {
+                              checker::MonitorBackend backend) {
   auto& fx = Fixture();
   size_t warmup = static_cast<size_t>(state.range(0));
   checker::CheckOptions opts;
   opts.threads = threads;
   opts.backend = backend;
-  opts.router = router;
   auto monitor = *checker::Monitor::Create(fx.factory, fx.fifo, {}, opts);
   // Grow the history to `warmup` states first.
   size_t n = 4;
@@ -110,24 +109,20 @@ void BM_Fifo_MonitorPerUpdate(benchmark::State& state, size_t threads,
   }
 }
 
-// Cross-instance lockstep stepping (PR 7): per-update cost of the automaton
-// backend over a symmetric population of `instances` letter-disjoint
-// submit-once instances, cohort SoA stepping on vs off. Shapes:
+// Cross-instance lockstep stepping: per-update cost of the automaton backend
+// over a symmetric population of `instances` letter-disjoint submit-once
+// instances, which step as cohort slots. Shapes:
 //   uniform — every order is submitted at t0 and retracted at t1, so all
 //     slots share one state and the cohort advances with a single table-cell
-//     read per update; the joint baseline recomputes an O(alphabet) letter
-//     signature per update instead.
+//     read per update.
 //   mixed — half the orders are submitted+retracted, half only ever named by
 //     Fill, parking the population in two distinct states: every update runs
 //     the word-parallel dense-table gather across all slots.
-void BM_SubmitOnce_CohortSteadyState(benchmark::State& state, bool cohort,
-                                     bool mixed, bool router) {
+void BM_SubmitOnce_CohortSteadyState(benchmark::State& state, bool mixed) {
   auto& fx = Fixture();
   size_t instances = static_cast<size_t>(state.range(0));
   checker::CheckOptions opts;
   opts.backend = checker::MonitorBackend::kAutomaton;
-  opts.cohort_stepping = cohort;
-  opts.router = router;
   auto monitor = *checker::Monitor::Create(fx.factory, fx.submit_once, {}, opts);
   size_t submitted = mixed ? instances / 2 : instances;
   Transaction grow;
@@ -185,47 +180,34 @@ void BM_SubmitOnce_CohortSteadyState(benchmark::State& state, bool cohort,
 }
 
 void RegisterAll(const std::vector<size_t>& thread_counts,
-                 const std::vector<checker::MonitorBackend>& backends,
-                 const std::vector<bool>& cohort_modes,
-                 const std::vector<bool>& router_modes) {
+                 const std::vector<checker::MonitorBackend>& backends) {
   benchmark::RegisterBenchmark("BM_Fifo_HistorySweep", BM_Fifo_HistorySweep)
       ->RangeMultiplier(2)
       ->Range(8, 512)
       ->Complexity(benchmark::oN);
   for (checker::MonitorBackend backend : backends) {
     for (size_t threads : thread_counts) {
-      for (bool router : router_modes) {
-        std::string name = std::string("BM_Fifo_MonitorPerUpdate/backend:") +
-                           bench::BackendName(backend) +
-                           "/threads:" + std::to_string(threads) +
-                           "/router:" + (router ? "on" : "off");
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [threads, backend, router](benchmark::State& s) {
-              BM_Fifo_MonitorPerUpdate(s, threads, backend, router);
-            })
-            ->Arg(8)
-            ->Arg(64)
-            ->Arg(256);
-      }
+      std::string name = std::string("BM_Fifo_MonitorPerUpdate/backend:") +
+                         bench::BackendName(backend) +
+                         "/threads:" + std::to_string(threads);
+      benchmark::RegisterBenchmark(
+          name.c_str(),
+          [threads, backend](benchmark::State& s) {
+            BM_Fifo_MonitorPerUpdate(s, threads, backend);
+          })
+          ->Arg(8)
+          ->Arg(64)
+          ->Arg(256);
     }
   }
-  for (bool cohort : cohort_modes) {
-    for (bool mixed : {false, true}) {
-      for (bool router : router_modes) {
-        std::string name =
-            std::string("BM_SubmitOnce_CohortSteadyState/shape:") +
-            (mixed ? "mixed" : "uniform") + "/cohort:" +
-            (cohort ? "on" : "off") + "/router:" + (router ? "on" : "off");
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [cohort, mixed, router](benchmark::State& s) {
-              BM_SubmitOnce_CohortSteadyState(s, cohort, mixed, router);
-            })
-            ->Arg(1024)
-            ->Arg(10240);
-      }
-    }
+  for (bool mixed : {false, true}) {
+    std::string name = std::string("BM_SubmitOnce_CohortSteadyState/shape:") +
+                       (mixed ? "mixed" : "uniform");
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [mixed](benchmark::State& s) { BM_SubmitOnce_CohortSteadyState(s, mixed); })
+        ->Arg(1024)
+        ->Arg(10240);
   }
 }
 
@@ -238,14 +220,6 @@ int main(int argc, char** argv) {
       &argc, argv,
       {tic::checker::MonitorBackend::kAutomaton,
        tic::checker::MonitorBackend::kProgression});
-  std::vector<bool> cohort_modes =
-      tic::bench::ParseCohort(&argc, argv, {true, false});
-  // The router axis: fifo's atom-sharing pairs are in the release fragment,
-  // so router:on steps them as cohort slots and router:off keeps the joint
-  // residual graph (EXPERIMENTS.md E2 records the trade-off); submit_once
-  // lies outside every fragment. bench_router holds the fragment speedups.
-  // Default a single mode to keep the grid flat.
-  std::vector<bool> router_modes = tic::bench::ParseRouter(&argc, argv, {true});
-  tic::RegisterAll(threads, backends, cohort_modes, router_modes);
+  tic::RegisterAll(threads, backends);
   return tic::bench::RunBenchmarks(&argc, argv);
 }

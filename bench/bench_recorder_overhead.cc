@@ -34,7 +34,7 @@ double Median(std::vector<double> v) {
 
 // Builds the warmed monitor plus the per-iteration transaction stream for
 // one scenario. "cohort": BM_SubmitOnce_CohortSteadyState/shape:uniform/
-// cohort:on/10240 — empty updates, one kTxnApplied event each. "fifo":
+// 10240 — empty updates, one kTxnApplied event each. "fifo":
 // BM_Fifo_MonitorPerUpdate/backend:automaton/threads:1/256 — rolling 3-4 op
 // transactions, so each update also records letter flips.
 struct Scenario {
@@ -47,7 +47,6 @@ bool MakeScenario(bench::OrdersFixture& fx, const std::string& name,
   checker::CheckOptions opts;
   opts.backend = checker::MonitorBackend::kAutomaton;
   if (name == "cohort") {
-    opts.cohort_stepping = true;
     auto created =
         checker::Monitor::Create(fx.factory, fx.submit_once, {}, opts);
     if (!created.ok()) return false;

@@ -1,37 +1,35 @@
-// Experiment A5: the tractable-fragment router. Per-update steady-state cost
-// of constraints the static classifier can prove tractable, routed (point
-// algebra / past evaluator) vs forced through the automaton machinery.
+// Experiment A5: the fragment routes. Per-update steady-state cost of
+// constraints the static classifier proves tractable, on the route the
+// monitor gives them (point algebra / past evaluator). BENCH_pr9.json holds
+// the same populations forced through the automaton machinery.
 //
 // The interesting population is the one cohorts CANNOT take: a letter shared
 // through the rigid constant `sys` (Audit(sys)) welds every grounded instance
-// into one letter-connected component, so with the router off the automaton
-// steps the whole component through the joint path — per-update work linear
-// in the population even on the memo-hit steady state. The router proves
-// every member is a watched-literal fragment unit and steps only
-// flip-touched units instead.
+// into one letter-connected component, which outside the fragments would
+// step through the joint path — per-update work linear in the population
+// even on the memo-hit steady state. The placement rule proves every member
+// is a watched-literal fragment unit and steps only flip-touched units
+// instead.
 //
 // Families:
 //   SharedTrigger  — forall x . G ((Audit(sys) & Fill(x)) -> G Fill(x)): the
 //     sticky-trigger fragment shape. The Fill(x) guard keeps the monitor's
 //     fresh-element instance vacuous (a bare Audit(sys) antecedent would be
 //     violated by every yet-unseen element the moment the audit fires).
-//     Steady state has zero flips: the point backend does no work at all,
-//     the joint path recomputes signatures for the population.
+//     Steady state has zero flips: the point backend does no work at all.
 //   SharedTriggerChurn — same constraint, but Audit(sys) flips every measured
-//     update: the point backend walks all N dirty units (its worst case),
-//     the joint path recomputes + re-steps the component.
-//   PrecededBy — "no audited gap before the order's submission", in three
-//     equivalent configurations: the future release spelling
-//     Sub(x) R (!Audit(sys) | !Fill(x) | Sub(x)) on the automaton (router
-//     off) and on the point backend (router on), and the Proposition 2.1
-//     past spelling G ((Audit(sys) & Fill(x)) -> O Sub(x)) on the
-//     history-less past evaluator (router_force_past).
+//     update: the point backend walks all N dirty units (its worst case).
+//   PrecededBy — "no audited gap before the order's submission", in two
+//     equivalent spellings: the future release spelling
+//     Sub(x) R (!Audit(sys) | !Fill(x) | Sub(x)) on the point backend, and
+//     the Proposition 2.1 past spelling
+//     G (forall x . (Audit(sys) & Fill(x)) -> O Sub(x)) on the history-less
+//     past evaluator.
 //   Qtcn — a 4-event point-algebra chain E0 <= E1 <= E2 <= E3 per element,
-//     letter-disjoint across elements: the parity check. Router off serves
-//     it from the cohort lockstep path, router on from the point backend;
-//     neither should regress as N grows.
+//     letter-disjoint across elements, on the point backend: it should not
+//     regress as N grows.
 //
-// Pass --router=on,off (default both) to restrict the axis; --json as usual.
+// --json as usual.
 
 #include <benchmark/benchmark.h>
 
@@ -78,7 +76,7 @@ struct RouterFixture {
         factory.get(),
         "forall x . !((!Sub(x)) until (Audit(sys) & Fill(x) & !Sub(x)))");
     preceded_past = *fotl::Parse(
-        factory.get(), "forall x . G ((Audit(sys) & Fill(x)) -> O Sub(x))");
+        factory.get(), "G (forall x . (Audit(sys) & Fill(x)) -> O Sub(x))");
     // first(Ei) at-or-before first(Ei+1), the weak point-algebra unit
     // Ei R (!Ei+1 | Ei) spelled through until.
     std::string chain;
@@ -107,14 +105,13 @@ void ReportRouting(benchmark::State& state,
 }
 
 // Steady-state empty updates over one Audit-welded component of N armed
-// triggers. The router's O(flips-touched) claim at its best: zero flips.
-void BM_Router_SharedTrigger(benchmark::State& state, bool router) {
+// triggers. The point backend's O(flips-touched) claim at its best: zero
+// flips.
+void BM_Router_SharedTrigger(benchmark::State& state) {
   auto& fx = Fixture();
   size_t n = static_cast<size_t>(state.range(0));
-  checker::CheckOptions opts;
-  opts.router = router;
   auto monitor =
-      *checker::Monitor::Create(fx.factory, fx.shared_trigger, {kSys}, opts);
+      *checker::Monitor::Create(fx.factory, fx.shared_trigger, {kSys});
   Transaction grow;
   grow.push_back(UpdateOp::Insert(fx.fill, {kSys}));
   for (size_t v = 1; v <= n; ++v) {
@@ -155,13 +152,11 @@ void BM_Router_SharedTrigger(benchmark::State& state, bool router) {
 // Same component, but the shared letter flips every measured update: every
 // unit is touched every time — the point backend's worst case is still one
 // flat pass over N units.
-void BM_Router_SharedTriggerChurn(benchmark::State& state, bool router) {
+void BM_Router_SharedTriggerChurn(benchmark::State& state) {
   auto& fx = Fixture();
   size_t n = static_cast<size_t>(state.range(0));
-  checker::CheckOptions opts;
-  opts.router = router;
   auto monitor =
-      *checker::Monitor::Create(fx.factory, fx.shared_trigger, {kSys}, opts);
+      *checker::Monitor::Create(fx.factory, fx.shared_trigger, {kSys});
   Transaction grow;
   grow.push_back(UpdateOp::Insert(fx.fill, {kSys}));
   for (size_t v = 1; v <= n; ++v) {
@@ -198,27 +193,13 @@ void BM_Router_SharedTriggerChurn(benchmark::State& state, bool router) {
   ReportRouting(state, last);
 }
 
-// Three equivalent constructions of "no Audit before submission".
-enum class PrecededConfig { kAutomaton, kPointAlg, kPast };
-
-void BM_Router_PrecededBy(benchmark::State& state, PrecededConfig config) {
+// Two equivalent spellings of "no Audit before submission": `past` selects
+// the past one.
+void BM_Router_PrecededBy(benchmark::State& state, bool past) {
   auto& fx = Fixture();
   size_t n = static_cast<size_t>(state.range(0));
-  checker::CheckOptions opts;
-  fotl::Formula phi = fx.preceded_release;
-  switch (config) {
-    case PrecededConfig::kAutomaton:
-      opts.router = false;
-      break;
-    case PrecededConfig::kPointAlg:
-      opts.router = true;
-      break;
-    case PrecededConfig::kPast:
-      opts.router_force_past = true;
-      phi = fx.preceded_past;
-      break;
-  }
-  auto monitor = *checker::Monitor::Create(fx.factory, phi, {kSys}, opts);
+  fotl::Formula phi = past ? fx.preceded_past : fx.preceded_release;
+  auto monitor = *checker::Monitor::Create(fx.factory, phi, {kSys});
   Transaction grow;
   grow.push_back(UpdateOp::Insert(fx.sub, {kSys}));
   grow.push_back(UpdateOp::Insert(fx.fill, {kSys}));
@@ -260,15 +241,13 @@ void BM_Router_PrecededBy(benchmark::State& state, PrecededConfig config) {
   ReportRouting(state, last);
 }
 
-// Letter-disjoint 4-event order chains: the parity check against the cohort
-// lockstep path (which takes this population when the router is off).
-void BM_Router_Qtcn(benchmark::State& state, bool router) {
+// Letter-disjoint 4-event order chains on the point backend (the cohort
+// lockstep path would serve them too: BENCH_pr9.json's off rows).
+void BM_Router_Qtcn(benchmark::State& state) {
   auto& fx = Fixture();
   size_t n = static_cast<size_t>(state.range(0));
-  checker::CheckOptions opts;
-  opts.router = router;
   auto monitor =
-      *checker::Monitor::Create(fx.factory, fx.qtcn_chain, {kSys}, opts);
+      *checker::Monitor::Create(fx.factory, fx.qtcn_chain, {kSys});
   // Event waves in constraint order: every chain is satisfied.
   for (int e = 0; e < 4; ++e) {
     Transaction wave;
@@ -303,37 +282,26 @@ void BM_Router_Qtcn(benchmark::State& state, bool router) {
   ReportRouting(state, last);
 }
 
-void RegisterAll(const std::vector<bool>& router_modes) {
-  for (bool router : router_modes) {
-    std::string suffix = std::string("/router:") + (router ? "on" : "off");
-    benchmark::RegisterBenchmark(("BM_Router_SharedTrigger" + suffix).c_str(),
-                                 [router](benchmark::State& s) {
-                                   BM_Router_SharedTrigger(s, router);
-                                 })
-        ->Arg(64)
-        ->Arg(256)
-        ->Arg(1024);
+void RegisterAll() {
+  benchmark::RegisterBenchmark("BM_Router_SharedTrigger", BM_Router_SharedTrigger)
+      ->Arg(64)
+      ->Arg(256)
+      ->Arg(1024);
+  benchmark::RegisterBenchmark("BM_Router_SharedTriggerChurn",
+                               BM_Router_SharedTriggerChurn)
+      ->Arg(64)
+      ->Arg(256)
+      ->Arg(1024);
+  benchmark::RegisterBenchmark("BM_Router_Qtcn", BM_Router_Qtcn)
+      ->Arg(64)
+      ->Arg(256)
+      ->Arg(1024);
+  for (bool past : {false, true}) {
     benchmark::RegisterBenchmark(
-        ("BM_Router_SharedTriggerChurn" + suffix).c_str(),
-        [router](benchmark::State& s) { BM_Router_SharedTriggerChurn(s, router); })
-        ->Arg(64)
-        ->Arg(256)
-        ->Arg(1024);
-    benchmark::RegisterBenchmark(("BM_Router_Qtcn" + suffix).c_str(),
-                                 [router](benchmark::State& s) {
-                                   BM_Router_Qtcn(s, router);
-                                 })
-        ->Arg(64)
-        ->Arg(256)
-        ->Arg(1024);
-  }
-  for (auto [config, name] :
-       {std::pair{PrecededConfig::kAutomaton, "automaton"},
-        std::pair{PrecededConfig::kPointAlg, "pointalg"},
-        std::pair{PrecededConfig::kPast, "past"}}) {
-    benchmark::RegisterBenchmark(
-        (std::string("BM_Router_PrecededBy/config:") + name).c_str(),
-        [config = config](benchmark::State& s) { BM_Router_PrecededBy(s, config); })
+        (std::string("BM_Router_PrecededBy/config:") +
+         (past ? "past" : "pointalg"))
+            .c_str(),
+        [past](benchmark::State& s) { BM_Router_PrecededBy(s, past); })
         ->Arg(64)
         ->Arg(256)
         ->Arg(1024);
@@ -344,8 +312,6 @@ void RegisterAll(const std::vector<bool>& router_modes) {
 }  // namespace tic
 
 int main(int argc, char** argv) {
-  std::vector<bool> router_modes =
-      tic::bench::ParseRouter(&argc, argv, {true, false});
-  tic::RegisterAll(router_modes);
+  tic::RegisterAll();
   return tic::bench::RunBenchmarks(&argc, argv);
 }

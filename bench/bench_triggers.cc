@@ -25,12 +25,10 @@ bench::OrdersFixture& Fixture() {
 }
 
 checker::CheckOptions WithThreads(size_t threads,
-                                  checker::MonitorBackend backend,
-                                  bool router = true) {
+                                  checker::MonitorBackend backend) {
   checker::CheckOptions opts;
   opts.threads = threads;
   opts.backend = backend;
-  opts.router = router;
   return opts;
 }
 
@@ -52,14 +50,14 @@ void ReportCacheCounters(benchmark::State& state,
 
 // One-parameter trigger over a growing relevant set.
 void BM_Trigger_OneParam(benchmark::State& state, size_t threads,
-                         checker::MonitorBackend backend, bool router) {
+                         checker::MonitorBackend backend) {
   auto& fx = Fixture();
   size_t n = static_cast<size_t>(state.range(0));
   std::unique_ptr<checker::TriggerManager> mgr;
   for (auto _ : state) {
     state.PauseTiming();
     mgr = *checker::TriggerManager::Create(
-        fx.factory, {}, WithThreads(threads, backend, router));
+        fx.factory, {}, WithThreads(threads, backend));
     // "Order x was submitted and is certain to be resubmitted."
     auto st = mgr->AddTrigger(
         "dup", *fotl::Parse(fx.factory.get(), "F (Sub(x) & X F Sub(x))"));
@@ -81,14 +79,14 @@ void BM_Trigger_OneParam(benchmark::State& state, size_t threads,
 
 // Two-parameter trigger: |R_D|^2 substitutions.
 void BM_Trigger_TwoParams(benchmark::State& state, size_t threads,
-                          checker::MonitorBackend backend, bool router) {
+                          checker::MonitorBackend backend) {
   auto& fx = Fixture();
   size_t n = static_cast<size_t>(state.range(0));
   std::unique_ptr<checker::TriggerManager> mgr;
   for (auto _ : state) {
     state.PauseTiming();
     mgr = *checker::TriggerManager::Create(
-        fx.factory, {}, WithThreads(threads, backend, router));
+        fx.factory, {}, WithThreads(threads, backend));
     auto st = mgr->AddTrigger(
         "pair", *fotl::Parse(fx.factory.get(),
                              "x != y & Sub(x) & Sub(y) & F (Fill(x) & Fill(y))"));
@@ -131,34 +129,30 @@ void BM_Trigger_FiringStream(benchmark::State& state) {
 }
 
 void RegisterAll(const std::vector<size_t>& thread_counts,
-                 const std::vector<checker::MonitorBackend>& backends,
-                 const std::vector<bool>& router_modes) {
+                 const std::vector<checker::MonitorBackend>& backends) {
   for (checker::MonitorBackend backend : backends) {
     for (size_t threads : thread_counts) {
-      for (bool router : router_modes) {
-        std::string suffix = std::string("/backend:") +
-                             bench::BackendName(backend) +
-                             "/threads:" + std::to_string(threads) +
-                             "/router:" + (router ? "on" : "off");
-        benchmark::RegisterBenchmark(
-            ("BM_Trigger_OneParam" + suffix).c_str(),
-            [threads, backend, router](benchmark::State& s) {
-              BM_Trigger_OneParam(s, threads, backend, router);
-            })
-            ->Arg(2)
-            ->Arg(4)
-            ->Arg(8)
-            ->Arg(16)
-            ->Arg(32);
-        benchmark::RegisterBenchmark(
-            ("BM_Trigger_TwoParams" + suffix).c_str(),
-            [threads, backend, router](benchmark::State& s) {
-              BM_Trigger_TwoParams(s, threads, backend, router);
-            })
-            ->Arg(2)
-            ->Arg(4)
-            ->Arg(8);
-      }
+      std::string suffix = std::string("/backend:") +
+                           bench::BackendName(backend) +
+                           "/threads:" + std::to_string(threads);
+      benchmark::RegisterBenchmark(
+          ("BM_Trigger_OneParam" + suffix).c_str(),
+          [threads, backend](benchmark::State& s) {
+            BM_Trigger_OneParam(s, threads, backend);
+          })
+          ->Arg(2)
+          ->Arg(4)
+          ->Arg(8)
+          ->Arg(16)
+          ->Arg(32);
+      benchmark::RegisterBenchmark(
+          ("BM_Trigger_TwoParams" + suffix).c_str(),
+          [threads, backend](benchmark::State& s) {
+            BM_Trigger_TwoParams(s, threads, backend);
+          })
+          ->Arg(2)
+          ->Arg(4)
+          ->Arg(8);
     }
   }
   benchmark::RegisterBenchmark("BM_Trigger_FiringStream", BM_Trigger_FiringStream);
@@ -173,10 +167,6 @@ int main(int argc, char** argv) {
       &argc, argv,
       {tic::checker::MonitorBackend::kAutomaton,
        tic::checker::MonitorBackend::kProgression});
-  // Trigger conditions are existential and never route; the axis exists to
-  // pin "router on changes nothing here" (see bench_router for the fragment
-  // speedups). Default a single mode to keep the grid flat.
-  std::vector<bool> router_modes = tic::bench::ParseRouter(&argc, argv, {true});
-  tic::RegisterAll(threads, backends, router_modes);
+  tic::RegisterAll(threads, backends);
   return tic::bench::RunBenchmarks(&argc, argv);
 }

@@ -42,13 +42,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   testing::FotlCase c = testing::GenerateSafetyCase(&ent, options);
 
   checker::CheckOptions copts;
+  checker::MonitorMode mode = checker::MonitorMode::kEager;
   switch (ent.Below(3)) {
-    case 0: break;  // automaton + cohorts (defaults)
-    case 1: copts.cohort_stepping = false; break;
+    case 0: break;  // automaton (defaults)
+    case 1: mode = checker::MonitorMode::kLazy; break;
     default: copts.backend = checker::MonitorBackend::kProgression; break;
   }
 
-  auto subject_r = checker::Monitor::Create(c.factory, c.sentence, {}, copts);
+  auto subject_r =
+      checker::Monitor::Create(c.factory, c.sentence, {}, copts, mode);
   if (!subject_r.ok()) {
     std::fprintf(stderr, "generated case rejected by the checker: %s\n%s",
                  subject_r.status().ToString().c_str(),

@@ -18,12 +18,10 @@ namespace {
 namespace snap = tic::snapshot;
 
 // option_flags bit layout inside the kSecMeta prefix (unchanged since
-// kStateVersion 1, except bit 8: a current-letter-valid flag retired in
-// version 3, where the letter of the initially empty state is always valid).
+// kStateVersion 1, except for retired bits, which must be clear: bits 1-3,
+// the router, forced-past-route and cohort-stepping switches removed in
+// version 4, and bit 8, a current-letter-valid flag removed in version 3).
 constexpr uint32_t kFlagRequireSafety = 1u << 0;
-constexpr uint32_t kFlagRouter = 1u << 1;
-constexpr uint32_t kFlagRouterForcePast = 1u << 2;
-constexpr uint32_t kFlagCohortStepping = 1u << 3;
 constexpr uint32_t kFlagProvenance = 1u << 4;
 constexpr uint32_t kFlagWantWitness = 1u << 5;
 constexpr uint32_t kFlagDead = 1u << 6;
@@ -31,8 +29,7 @@ constexpr uint32_t kFlagCompacted = 1u << 7;
 constexpr uint32_t kFlagAnyVerdict = 1u << 9;
 constexpr uint32_t kFlagLastSat = 1u << 10;
 constexpr uint32_t kKnownOptionFlags =
-    kFlagRequireSafety | kFlagRouter | kFlagRouterForcePast |
-    kFlagCohortStepping | kFlagProvenance | kFlagWantWitness | kFlagDead |
+    kFlagRequireSafety | kFlagProvenance | kFlagWantWitness | kFlagDead |
     kFlagCompacted | kFlagAnyVerdict | kFlagLastSat;
 
 // ---------------------------------------------------------------------------
@@ -402,9 +399,6 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
 
   uint32_t flags = 0;
   if (m.options_.require_safety) flags |= kFlagRequireSafety;
-  if (m.options_.router) flags |= kFlagRouter;
-  if (m.options_.router_force_past) flags |= kFlagRouterForcePast;
-  if (m.options_.cohort_stepping) flags |= kFlagCohortStepping;
   if (m.options_.provenance) flags |= kFlagProvenance;
   if (m.options_.want_witness) flags |= kFlagWantWitness;
   if (m.dead_) flags |= kFlagDead;
@@ -653,9 +647,6 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
   // --- Rebuild the monitor shell ---
   CheckOptions options;
   options.require_safety = (flags & kFlagRequireSafety) != 0;
-  options.router = (flags & kFlagRouter) != 0;
-  options.router_force_past = (flags & kFlagRouterForcePast) != 0;
-  options.cohort_stepping = (flags & kFlagCohortStepping) != 0;
   options.provenance = (flags & kFlagProvenance) != 0;
   options.want_witness = (flags & kFlagWantWitness) != 0;
   options.cohort_minimize_interval = cohort_minimize_interval;
@@ -822,16 +813,29 @@ Result<std::unique_ptr<Monitor>> MonitorCheckpoint::Restore(
     }
     return Status::OK();
   };
+  // The word holds one letter per state since the checkpoint: from state 0
+  // before the first fold, from time_base + 1 after it. A dead monitor
+  // stopped appending at its death, so it may hold fewer.
+  uint64_t uncovered = meta.num_states;
+  if ((flags & kFlagCompacted) != 0) {
+    uncovered -= std::min(uncovered, meta.time_base + 1);
+  }
   TIC_ASSIGN_OR_RETURN(uint64_t nentries, wr.ReadU64());
   m->word_.clear();
   for (uint64_t i = 0; i < nentries; ++i) {
     Monitor::WordEntry e;
     TIC_ASSIGN_OR_RETURN(e.repeat, wr.ReadU64());
-    if (e.repeat == 0) {
-      return Status::ParseError("snapshot: zero-repeat word run");
+    if (e.repeat == 0 || e.repeat > uncovered) {
+      return Status::ParseError(
+          "snapshot: word run empty or past the states since the checkpoint");
     }
+    uncovered -= e.repeat;
     TIC_RETURN_NOT_OK(get_letter(&e.w));
     m->word_.push_back(std::move(e));
+  }
+  if (uncovered != 0 && !m->dead_) {
+    return Status::ParseError(
+        "snapshot: word runs do not cover the states since the checkpoint");
   }
   TIC_RETURN_NOT_OK(get_letter(&m->cur_letter_));
   TIC_RETURN_NOT_OK(wr.ExpectEnd());

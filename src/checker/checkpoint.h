@@ -63,8 +63,10 @@ class MonitorCheckpoint {
   /// history section holds the current state alone, the meta prefix counts
   /// the states applied (version 2 stored every state since the last
   /// compaction), and a letter record no longer repeats its predicate's
-  /// arity.
-  static constexpr uint32_t kStateVersion = 3;
+  /// arity. Version 4: option-flag bits 1-3 (the retired router, forced past
+  /// route and cohort-stepping switches) must be clear, and letters exist
+  /// only for predicates the constraint mentions.
+  static constexpr uint32_t kStateVersion = 4;
 
   static Result<std::string> Serialize(const Monitor& monitor);
 

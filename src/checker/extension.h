@@ -30,13 +30,23 @@ enum class MonitorBackend {
   /// Compile-once / memoize-everything automaton. Two cooperating machines,
   /// both advancing by one memoized `(state id, letter signature) -> state id`
   /// lookup per update instead of per-update rewriting + CheckSat:
-  ///  - The *monitor* runs the residual-graph automaton of the joint grounded
-  ///    conjunction: states are hash-consed residuals, liveness is decided
-  ///    once per state (via the shared verdict cache), and recurring database
-  ///    states never touch a formula or a tableau again. (The determinized
-  ///    closure-state cover of a joint conjunction is the product of the
-  ///    per-instance covers — exponential in the instance count — so it is
-  ///    not compiled eagerly.)
+  ///  - The *monitor* splits its grounded instances into letter-connected
+  ///    components (instances linked by shared ground atoms) and places each
+  ///    component by one rule: the watched-literal point-algebra engine
+  ///    (checker/pointalg.h) when every member matches a point-algebra unit,
+  ///    else one cohort slot per member when the component is a single
+  ///    instance or lies wholly in the release fragment (slots step in
+  ///    lockstep over a renaming-shared TransitionSystem), else the
+  ///    residual-graph automaton of the component's joint conjunction:
+  ///    states are hash-consed residuals, liveness is decided once per state
+  ///    (via the shared verdict cache), and recurring database states never
+  ///    touch a formula or a tableau again. Every placement is exact: sat of
+  ///    an atom-disjoint conjunction is the AND of the conjuncts' sat, and a
+  ///    live point-algebra or release-fragment residual that just read
+  ///    letter L is satisfied by L repeated forever — one witness for every
+  ///    member of the component. (The determinized closure-state cover of a
+  ///    joint conjunction is the product of the per-instance covers —
+  ///    exponential in the instance count — so it is not compiled eagerly.)
   ///  - Batch checks and trigger substitution sweeps compile phi_D into a
   ///    closure-bitset ptl::TransitionSystem with precomputed liveness, shared
   ///    across letter renamings through the AutomatonCache; compilation runs
@@ -48,12 +58,15 @@ enum class MonitorBackend {
   /// verdicts are progression-specific, and witness decoding needs the
   /// residual formula).
   kAutomaton,
-  /// The tableau-free past evaluator (past::PastMonitor), selected by the
-  /// fragment router for closed `G A` constraints with A a past formula and
-  /// no universal prefix (Proposition 2.1): one history-less pass per update,
-  /// no grounding, no tableau, no stored word. Verdict-equivalent on this
-  /// fragment — `G A` with A past is violated exactly when A fails at some
-  /// instant <= now, which is also when potential satisfaction is lost.
+  /// The tableau-free past evaluator (past::PastMonitor), which the monitor
+  /// runs (in kEager mode, whatever backend was requested) for every closed
+  /// `G A` constraint with A a past formula and no universal prefix
+  /// (Proposition 2.1): one history-less pass per update, no grounding, no
+  /// tableau, no stored word. Verdict-equivalent on this fragment — `G A`
+  /// with A past is violated exactly when A fails at some instant <= now,
+  /// which is also when potential satisfaction is lost. A universal
+  /// `forall x . G A` keeps the Theorem 4.2 machinery of the requested
+  /// backend.
   kPastStateless,
 };
 
@@ -104,44 +117,11 @@ struct CheckOptions {
   /// compiled automata — and their transition memos — across trigger managers
   /// and batch checks. The Monitor's cohort path also compiles through this
   /// cache (per-instance residuals are letter-renamings of one another, so
-  /// symmetric instances land on one shared TransitionSystem); when null and
-  /// cohort stepping is on, Monitor defaults a private instance. The joint
+  /// symmetric instances land on one shared TransitionSystem); when null on
+  /// the automaton backend, Monitor defaults a private instance. The joint
   /// residual graph remains per-monitor state.
   std::shared_ptr<ptl::AutomatonCache> automaton_cache;
 
-  /// Tractable-fragment router (default on). A static classifier in front of
-  /// the monitor dispatches work away from the tableau machinery wherever a
-  /// cheaper exact backend applies:
-  ///  - Constraints of the form `G A` with A a *past* formula (no universal
-  ///    prefix) run entirely on the history-less past evaluator
-  ///    (MonitorBackend::kPastStateless) — no grounding, no automaton.
-  ///  - Grounded instances whose formulas match the point-algebra fragment
-  ///    (conjunctions of order/invariant/trigger/release clauses,
-  ///    ptl/fragment.h) step through the watched-literal PointBackend:
-  ///    O(letters flipped) per update and allocation-free once warm, instead
-  ///    of residual-graph transitions. Only whole letter-connected
-  ///    components route (every instance sharing atoms must be in the
-  ///    fragment), so the remaining joint/cohort paths never see a routed
-  ///    atom. Verdict-equivalent by the fragment's witness property;
-  ///    enforced by the `router-diff` differential suite.
-  /// Effective in MonitorMode::kEager with the kAutomaton backend; other
-  /// modes ignore it.
-  bool router = true;
-  /// Force the past route even for constraints the router would send to the
-  /// universal-safety path (pure-FO `forall* G b` sentences whose bodies the
-  /// past evaluator also handles). Diagnostic/differential knob; implies no
-  /// potential-satisfaction semantics difference on the overlap fragment.
-  bool router_force_past = false;
-
-  /// Step letter-disjoint grounded instances in cohorts: instances whose
-  /// residuals share no ground atoms are grouped by compiled automaton
-  /// (structure-of-arrays state ids) and advanced per transaction with one
-  /// letter signature plus a word-parallel gather over a dense state x
-  /// letter-class table (AVX2 when available). Verdict-equivalent to the
-  /// joint path by construction — sat(AND of atom-disjoint residuals) equals
-  /// AND of per-residual sat — and differentially enforced by the
-  /// `cohort-diff` suite. Instances that share atoms still step jointly.
-  bool cohort_stepping = true;
   /// Re-run offline automaton minimization (TransitionSystem::MinimizeNow)
   /// whenever a cohort's system has interned this many new state-sets since
   /// the last run; 0 disables minimization. Collapsing bisimilar states keeps

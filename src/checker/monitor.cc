@@ -50,6 +50,7 @@ Monitor::Monitor(std::shared_ptr<fotl::FormulaFactory> fotl_factory,
       phi_(phi),
       options_(options),
       mode_(mode),
+      reads_pred_(ffac_->vocabulary()->num_predicates(), 0),
       state_(ffac_->vocabulary()),
       constant_interp_(std::move(constant_interp)),
       prop_vocab_(std::make_shared<ptl::PropVocabulary>()),
@@ -63,37 +64,28 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
   TIC_RETURN_NOT_OK(
       CheckConstantInterpretation(*fotl_factory->vocabulary(), constant_interp));
   fotl::Classification c = fotl::Classify(phi);
-  // Tractable-fragment router, past route (Proposition 2.1): a closed `G A`
-  // with A a past formula runs entirely on the history-less past evaluator —
-  // no grounding, no safety skeleton, no automaton. Universal sentences keep
-  // the Theorem 4.2 machinery (grounded potential satisfaction is what the
-  // paper's procedure buys) unless router_force_past insists; on that overlap
-  // (pure-FO bodies) the two verdicts coincide, which the router-diff suite
-  // checks three ways.
+  // Past route (Proposition 2.1): a closed `G A` with A a past formula and no
+  // universal prefix runs entirely on the history-less past evaluator — no
+  // grounding, no safety skeleton, no automaton. Universal sentences keep the
+  // Theorem 4.2 machinery: grounded potential satisfaction is what the
+  // paper's procedure buys.
   if (mode == MonitorMode::kEager && c.closed && c.is_always_past &&
-      (options.router_force_past || (options.router && !c.universal))) {
-    Result<std::unique_ptr<past::PastMonitor>> lowered =
-        past::PastMonitor::Create(fotl_factory, phi, constant_interp);
-    if (!lowered.ok() && !c.universal) {
-      // A non-universal sentence has no Theorem 4.2 fallback to offer.
-      return lowered.status();
-    }
-    if (lowered.ok()) {
-      std::unique_ptr<Monitor> m(new Monitor(std::move(fotl_factory), phi,
-                                             std::move(constant_interp),
-                                             options, mode));
-      m->backend_ = MonitorBackend::kPastStateless;
-      m->past_ = std::move(*lowered);
+      !c.universal) {
+    TIC_ASSIGN_OR_RETURN(std::unique_ptr<past::PastMonitor> lowered,
+                         past::PastMonitor::Create(fotl_factory, phi,
+                                                   constant_interp));
+    std::unique_ptr<Monitor> m(new Monitor(std::move(fotl_factory), phi,
+                                           std::move(constant_interp), options,
+                                           mode));
+    m->backend_ = MonitorBackend::kPastStateless;
+    m->past_ = std::move(lowered);
 #ifdef TIC_TELEMETRY_ENABLED
-      telemetry::EnsureThreadRing();
+    telemetry::EnsureThreadRing();
 #endif
-      size_t tables = m->past_->num_tables();
-      TIC_RECORD(kRouteDecision, 2, 1, tables);
-      (void)tables;
-      return m;
-    }
-    // else: lowering declined (an unsupported builtin, an over-wide auxiliary
-    // table) — fall through to the universal-safety path.
+    size_t tables = m->past_->num_tables();
+    TIC_RECORD(kRouteDecision, 2, 1, tables);
+    (void)tables;
+    return m;
   }
   if (!c.universal) {
     return Status::NotSupported(
@@ -115,18 +107,13 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
   // mode keeps kProgression.
   m->backend_ = m->options_.backend;
   if (mode != MonitorMode::kEager) m->backend_ = MonitorBackend::kProgression;
-  // Cohort stepping compiles per-instance automata through the
+  // Cohort slots compile per-instance automata through the
   // renaming-invariant cache so symmetric instances share one transition
   // system; default a private cache when the caller didn't inject one.
-  if (m->backend_ == MonitorBackend::kAutomaton && m->options_.cohort_stepping &&
+  if (m->backend_ == MonitorBackend::kAutomaton &&
       m->options_.automaton_cache == nullptr) {
     m->options_.automaton_cache = std::make_shared<ptl::AutomatonCache>();
   }
-  // Point-algebra routing rides on the placement machinery (union-find over
-  // shared atoms), so it is active exactly when cohort stepping is.
-  m->pa_routing_ = m->options_.router &&
-                   m->backend_ == MonitorBackend::kAutomaton &&
-                   m->options_.cohort_stepping;
   if (m->options_.thread_pool == nullptr && m->options_.threads > 1) {
     m->options_.thread_pool = std::make_shared<ThreadPool>(m->options_.threads - 1);
   }
@@ -232,7 +219,8 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
     }
   }
 
-  // Instances over the initial M (constants only, plus the z's).
+  // Instances over the initial M (constants only, plus the z's). Grounding
+  // walks the whole matrix, so the first one marks every predicate it reads.
   std::vector<Value>& relevant = m->known_relevant_;
   relevant = m->constant_interp_;
   std::sort(relevant.begin(), relevant.end());
@@ -337,6 +325,7 @@ Result<ptl::Formula> Monitor::GroundMatrix(const std::vector<GroundElem>& assign
           Builtin::kNone) {
         return Status::NotSupported("builtins unsupported by the monitor");
       }
+      reads_pred_[fr.f->predicate()] = 1;
       codes.clear();
       bool has_folded_z = false;
       for (const fotl::Term& t : fr.f->terms()) {
@@ -691,31 +680,13 @@ Status Monitor::Compact() {
   word_.clear();
 
   // Invalidate everything derived from pre-fold basis or word positions: the
-  // next update recompiles the joint epoch and rebuilds cohort placements and
-  // point-algebra routing from the rebased instances. The running residuals
-  // and their classes describe "now" and stay valid, as does cur_letter_ —
-  // it describes the current state, which survives the fold.
-  joint_ = nullptr;
-  num_joint_classes_ = 0;
-  auto_states_.clear();
-  auto_state_ids_.Clear();
-  auto_sigs_.Clear();
-  auto_memo_.Clear();
-  auto_alphabet_.clear();
-  cohorts_.clear();
-  cohort_by_ts_.Clear();
-  cohort_touch_.Clear();
-  touch_lists_.clear();
-  atom_owner_.Clear();
-  placement_.clear();
-  dsu_parent_.clear();
-  dsu_size_.clear();
-  comp_.clear();
-  num_joint_ = 0;
-  num_cohort_slots_ = 0;
+  // next update recompiles the joint epoch and rebuilds every placement from
+  // the rebased instances. The running residuals and their classes describe
+  // "now" and stay valid, as does cur_letter_ — it describes the current
+  // state, which survives the fold.
+  ResetJoint();
+  ResetPlacements();
   cohorts_built_ = false;
-  pa_.Reset();
-  pa_shape_.clear();
   TIC_COUNTER_ADD("monitor/compactions", 1);
   TIC_RECORD(kEpochReset, time_base_, instances_.size(), 0);
   return Status::OK();
@@ -832,10 +803,8 @@ void Monitor::DsuUnion(uint32_t a, uint32_t b) {
 
 Monitor::Placement Monitor::ComponentRule(uint32_t root) const {
   const Component& c = comp_[root];
-  if (pa_routing_ && c.all_pa) return Placement::kPointAlg;
-  if (dsu_size_[root] == 1 || (pa_routing_ && c.all_release)) {
-    return Placement::kCohort;
-  }
+  if (c.all_pa) return Placement::kPointAlg;
+  if (dsu_size_[root] == 1 || c.all_release) return Placement::kCohort;
   return Placement::kJoint;
 }
 
@@ -978,6 +947,32 @@ void Monitor::WatchLetter(ptl::PropId p, uint64_t owner) {
   touch_lists_.push_back(std::move(owners));
 }
 
+void Monitor::ResetJoint() {
+  joint_ = nullptr;
+  num_joint_classes_ = 0;
+  auto_states_.clear();
+  auto_state_ids_.Clear();
+  auto_sigs_.Clear();
+  auto_memo_.Clear();
+  auto_alphabet_.clear();
+}
+
+void Monitor::ResetPlacements() {
+  cohorts_.clear();
+  cohort_by_ts_.Clear();
+  cohort_touch_.Clear();
+  touch_lists_.clear();
+  atom_owner_.Clear();
+  placement_.clear();
+  dsu_parent_.clear();
+  dsu_size_.clear();
+  comp_.clear();
+  num_joint_ = 0;
+  num_cohort_slots_ = 0;
+  pa_.Reset();
+  pa_shape_.clear();
+}
+
 Status Monitor::RebuildPlacements() {
   // A fresh instance joined a component whose placed members the rule would
   // now move (a cohort or point-algebra component absorbed a member outside
@@ -989,19 +984,7 @@ Status Monitor::RebuildPlacements() {
   // shared transition memo.
   TIC_SPAN("monitor.cohort_rebuild");
   TIC_COUNTER_ADD("monitor/cohort_rebuilds", 1);
-  cohorts_.clear();
-  cohort_by_ts_.Clear();
-  cohort_touch_.Clear();
-  touch_lists_.clear();
-  atom_owner_.Clear();
-  num_joint_ = 0;
-  num_cohort_slots_ = 0;
-  dsu_parent_.clear();
-  dsu_size_.clear();
-  comp_.clear();
-  placement_.clear();
-  pa_shape_.clear();
-  pa_.Reset();
+  ResetPlacements();
   // Nothing is placed yet, so nothing can have to move.
   TIC_ASSIGN_OR_RETURN(bool placed, PlaceRange(0));
   (void)placed;
@@ -1026,15 +1009,13 @@ Result<bool> Monitor::PlaceRange(size_t first) {
   dsu_size_.resize(n);
   comp_.resize(n);
   placement_.resize(n, Placement::kJoint);
-  if (pa_routing_) pa_shape_.resize(n, nullptr);
+  pa_shape_.resize(n, nullptr);
   for (uint32_t i = lo; i < n; ++i) {
     dsu_parent_[i] = i;
     dsu_size_[i] = 1;
     comp_[i] = Component{};
-    if (pa_routing_) {
-      pa_shape_[i] = pa_.ShapeOf(instances_[i].residual);
-      comp_[i].all_pa = pa_shape_[i] != nullptr;
-    }
+    pa_shape_[i] = pa_.ShapeOf(instances_[i].residual);
+    comp_[i].all_pa = pa_shape_[i] != nullptr;
   }
   for (uint32_t i = lo; i < n; ++i) {
     AtomsOf(instances_[i].residual);
@@ -1333,11 +1314,14 @@ Result<uint32_t> Monitor::AutoStep(uint32_t sid, const ptl::PropState& w) {
   return nid;
 }
 
-Status Monitor::AutomatonApply(bool joint_changed, const ptl::PropState& w,
-                               MonitorVerdict* verdict) {
+Result<bool> Monitor::AutomatonApply(bool joint_changed,
+                                     const ptl::PropState& w,
+                                     MonitorVerdict* verdict) {
   ptl::Factory* pf = prop_factory_.get();
   if (joint_ == nullptr || joint_changed) {
     TIC_SPAN("monitor.automaton_compile");
+    // New epoch: reset the residual graph.
+    ResetJoint();
     // Joint formula over the distinct grounded originals: instances over
     // symmetric elements share one hash-consed formula, so identity dedup
     // mirrors ProgressAll's residual classes. The joint conjunction — not a
@@ -1347,24 +1331,16 @@ Status Monitor::AutomatonApply(bool joint_changed, const ptl::PropState& w,
     std::vector<ptl::Formula> parts;
     parts.reserve(instances_.size());
     for (size_t i = 0; i < instances_.size(); ++i) {
-      // With cohort stepping on, letter-disjoint instances are advanced in
-      // SoA lockstep; only atom-sharing (and compile-fallback) instances
-      // remain in the joint conjunction. An empty placement_ means cohorting
-      // is off and every instance is joint.
-      if (!placement_.empty() && placement_[i] != Placement::kJoint) continue;
+      // Only the instances placed on the joint path (atom-sharing outside the
+      // fragments, or compile fallbacks) enter the joint conjunction.
+      if (placement_[i] != Placement::kJoint) continue;
       const Instance& inst = instances_[i];
       if (distinct.insert(inst.residual).second) parts.push_back(inst.residual);
     }
     num_joint_classes_ = parts.size();
     joint_ = pf->AndAll(parts);
-    // New epoch: reset the residual graph. Progression never introduces atoms,
-    // so the joint formula's atom set is a sound signature alphabet for every
-    // residual reachable this epoch.
-    auto_states_.clear();
-    auto_state_ids_.Clear();
-    auto_sigs_.Clear();
-    auto_memo_.Clear();
-    auto_alphabet_.clear();
+    // Progression never introduces atoms, so the joint formula's atom set is
+    // a sound signature alphabet for every residual reachable this epoch.
     {
       std::vector<ptl::Formula> stack{joint_};
       std::unordered_set<ptl::Formula> seen{joint_};
@@ -1408,15 +1384,7 @@ Status Monitor::AutomatonApply(bool joint_changed, const ptl::PropState& w,
     TIC_ASSIGN_OR_RETURN(auto_current_, AutoStep(auto_current_, w));
   }
   TIC_ASSIGN_OR_RETURN(bool live, AutoLive(auto_current_, verdict));
-  // Exact eager verdict: for a safety constraint, losing potential
-  // satisfaction is permanent — same mapping the progression backend produces.
-  verdict->potentially_satisfied = live;
-  if (!live) {
-    dead_ = true;
-    verdict->permanently_violated = true;
-  }
   verdict->residual_size = auto_states_[auto_current_].residual->size();
-  verdict->num_residual_classes = num_joint_classes_;
   verdict->automaton_stats.num_states = auto_states_.size();
   verdict->automaton_stats.num_state_sets = auto_states_.size();
   verdict->automaton_stats.num_signatures = auto_sigs_.size();
@@ -1424,7 +1392,7 @@ Status Monitor::AutomatonApply(bool joint_changed, const ptl::PropState& w,
   verdict->automaton_stats.memo_hits = auto_memo_hits_;
   verdict->automaton_stats.live_queries = auto_live_queries_;
   verdict->automaton_stats.alphabet_size = auto_alphabet_.size();
-  return Status::OK();
+  return live;
 }
 
 Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
@@ -1510,17 +1478,19 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
   // The first state's letters are minted predicate by predicate, not in op
   // order: a predicate's letter ids then stay contiguous, which keeps every
   // cohort slot's lookups into the current letter local (op order measured
-  // ~11% slower per idle_fleet heartbeat).
+  // ~11% slower per idle_fleet heartbeat). Predicates the matrix does not
+  // mention get no letter at all.
   bool letter_changed = false;
   if (abs_t == 0) {
-    const Vocabulary& vocab = *ffac_->vocabulary();
-    for (PredicateId p = 0; p < vocab.num_predicates(); ++p) {
+    for (PredicateId p = 0; p < reads_pred_.size(); ++p) {
+      if (reads_pred_[p] == 0) continue;
       for (const Tuple& tuple : state_.relation(p)) {
         cur_letter_.Set(Letter(p, tuple), true);
       }
     }
   } else {
     for (const UpdateOp& op : txn) {
+      if (reads_pred_[op.predicate] == 0) continue;
       ptl::PropId p = Letter(op.predicate, op.tuple);
       bool value = op.kind == UpdateOp::Kind::kInsert;
       if (cur_letter_.Get(p) != value) {
@@ -1528,7 +1498,7 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
         // The owner must be computed OUTSIDE the macro: TIC_RECORD's
         // TIC_TELEMETRY=OFF branch leaves its arguments unevaluated.
         uint64_t owner = OnLetterFlip(p, value);
-        if (pa_routing_) pa_.OnFlip(p, value);
+        pa_.OnFlip(p, value);
         TIC_RECORD(kLetterFlip, p, value ? 1 : 0, owner);
         (void)owner;
         if (options_.provenance) last_delta_.emplace_back(p, value);
@@ -1548,74 +1518,67 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
   if (!fresh.empty()) TIC_RETURN_NOT_OK(CreateFreshInstances(fresh));
 
   if (backend_ == MonitorBackend::kAutomaton) {
-    // Automaton backend (kEager): the residual-graph automaton advances one
-    // memoized state id per update. Recurring database states cost a hash
-    // lookup — no progression rewrite, no conjunction rebuild, no tableau.
+    // Automaton backend (kEager): each letter-connected component steps on
+    // its placement — cohort slots in SoA lockstep, point-algebra units by
+    // their watched literals, and the rest through the joint residual graph,
+    // which only runs when such components exist and only resets its epoch
+    // when its own membership changed. Recurring database states cost table
+    // reads and hash lookups — no progression rewrite, no tableau.
+    TIC_ASSIGN_OR_RETURN(bool joint_changed, PlaceInstances(first_new));
     bool cohort_live = true;
-    bool joint_live = true;
     bool pa_live = true;
-    if (options_.cohort_stepping) {
-      // Letter-disjoint instances advance in SoA lockstep; the joint residual
-      // graph only runs when atom-sharing instances exist, and only resets
-      // its epoch when its own membership changed (a fresh batch landing
-      // entirely in cohorts no longer forces a joint replay).
-      TIC_ASSIGN_OR_RETURN(bool joint_changed, PlaceInstances(first_new));
-      TIC_RETURN_NOT_OK(CohortStepAll(w, &verdict, &cohort_live));
-      if (pa_routing_ && pa_.num_instances() > 0) {
-        // Advance exactly the units this transaction's flips touched.
+    bool joint_live = true;
+    TIC_RETURN_NOT_OK(CohortStepAll(w, &verdict, &cohort_live));
+    if (pa_.num_instances() > 0) {
+      // Advance exactly the units this transaction's flips touched.
 #ifdef TIC_TELEMETRY_ENABLED
-        uint64_t pa_t0 = telemetry::RecorderActive()
-                             ? telemetry::recorder_internal::NowTicks()
-                             : 0;
+      uint64_t pa_t0 = telemetry::RecorderActive()
+                           ? telemetry::recorder_internal::NowTicks()
+                           : 0;
 #endif
-        uint32_t stepped = pa_.StepDirty();
-        pa_live = pa_.all_alive();
-        verdict.num_pointalg_instances = pa_.num_instances();
+      uint32_t stepped = pa_.StepDirty();
+      pa_live = pa_.all_alive();
+      verdict.num_pointalg_instances = pa_.num_instances();
 #ifdef TIC_TELEMETRY_ENABLED
-        if (pa_t0 != 0) {
-          uint64_t ticks = telemetry::recorder_internal::NowTicks() - pa_t0;
-          TIC_RECORD(kFragmentStep, 1, stepped, ticks);
-        }
+      if (pa_t0 != 0) {
+        uint64_t ticks = telemetry::recorder_internal::NowTicks() - pa_t0;
+        TIC_RECORD(kFragmentStep, 1, stepped, ticks);
+      }
 #endif
-        (void)stepped;
-        if (!pa_live) {
-          // Exact culprits for provenance, appended after CohortStepAll's
-          // own dead-slot collection (it clears dead_scratch_ first).
-          for (uint32_t i = 0; i < placement_.size(); ++i) {
-            if (placement_[i] == Placement::kPointAlg && !pa_.InstanceAlive(i)) {
-              ++dead_total_;
-              if (dead_scratch_.size() < kMaxExplanations) {
-                dead_scratch_.push_back(i);
-              }
+      (void)stepped;
+      if (!pa_live) {
+        // Exact culprits for provenance, appended after CohortStepAll's
+        // own dead-slot collection (it clears dead_scratch_ first).
+        for (uint32_t i = 0; i < placement_.size(); ++i) {
+          if (placement_[i] == Placement::kPointAlg && !pa_.InstanceAlive(i)) {
+            ++dead_total_;
+            if (dead_scratch_.size() < kMaxExplanations) {
+              dead_scratch_.push_back(i);
             }
           }
         }
       }
-      if (num_joint_ > 0) {
-        TIC_RETURN_NOT_OK(AutomatonApply(joint_changed, w, &verdict));
-        joint_live = verdict.potentially_satisfied;
-      }
-      verdict.num_residual_classes = num_joint_classes_ + cohorts_.size();
-      // Fold cohort stepping into the automaton counters: a table-cell read
-      // is this path's memo hit.
-      verdict.automaton_stats.steps += cohort_steps_;
-      verdict.automaton_stats.memo_hits += cohort_table_hits_;
-      for (const Cohort& ch : cohorts_) {
-        ptl::TransitionSystemStats s = ch.ts->stats();
-        verdict.automaton_stats.num_states += s.num_states;
-        verdict.automaton_stats.num_state_sets += s.num_state_sets;
-        verdict.automaton_stats.num_signatures += s.num_signatures;
-        verdict.automaton_stats.live_queries += s.live_queries;
-        verdict.automaton_stats.alphabet_size += s.alphabet_size;
-      }
-    } else {
-      TIC_RETURN_NOT_OK(AutomatonApply(!fresh.empty(), w, &verdict));
-      joint_live = verdict.potentially_satisfied;
+    }
+    if (num_joint_ > 0) {
+      TIC_ASSIGN_OR_RETURN(joint_live, AutomatonApply(joint_changed, w, &verdict));
+    }
+    verdict.num_residual_classes = num_joint_classes_ + cohorts_.size();
+    // Fold cohort stepping into the automaton counters: a table-cell read
+    // is this path's memo hit.
+    verdict.automaton_stats.steps += cohort_steps_;
+    verdict.automaton_stats.memo_hits += cohort_table_hits_;
+    for (const Cohort& ch : cohorts_) {
+      ptl::TransitionSystemStats s = ch.ts->stats();
+      verdict.automaton_stats.num_states += s.num_states;
+      verdict.automaton_stats.num_state_sets += s.num_state_sets;
+      verdict.automaton_stats.num_signatures += s.num_signatures;
+      verdict.automaton_stats.live_queries += s.live_queries;
+      verdict.automaton_stats.alphabet_size += s.alphabet_size;
     }
     // Exact verdict: the monitored condition is the conjunction over all
-    // instances, and sat factors across the letter-disjoint split (routed
-    // components included — the fragment's witness property makes the PA
-    // backend's clause-falsification verdict equal per-component sat).
+    // instances, and sat factors across letter-connected components (the
+    // fragments' witness property makes the point-algebra clause verdict and
+    // the release slots' AND equal per-component sat).
     verdict.potentially_satisfied = cohort_live && joint_live && pa_live;
     if (!verdict.potentially_satisfied) {
       dead_ = true;

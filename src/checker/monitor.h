@@ -60,17 +60,17 @@ struct MonitorVerdict {
   /// Cumulative counters of the shared compiled-automaton cache, when one was
   /// injected through CheckOptions (batch/trigger-level sharing).
   ptl::AutomatonCacheStats automaton_cache_stats;
-  /// Cohort lockstep stepping (CheckOptions::cohort_stepping): number of
-  /// cohorts and the instances stepped through them in structure-of-arrays
-  /// form. A slot is either letter-disjoint from every other instance or,
-  /// with the router on, a member of an atom-sharing component that lies
-  /// wholly in the release fragment. Other atom-sharing instances step
-  /// through the joint residual graph and are not counted here.
+  /// Cohort lockstep stepping (automaton backend): number of cohorts and the
+  /// instances stepped through them in structure-of-arrays form. A slot is
+  /// either letter-disjoint from every other instance or a member of an
+  /// atom-sharing component that lies wholly in the release fragment. Other
+  /// atom-sharing instances step through the point-algebra engine or the
+  /// joint residual graph and are not counted here.
   size_t num_cohorts = 0;
   size_t num_cohort_instances = 0;
-  /// Instances the tractable-fragment router stepped through the
-  /// point-algebra backend this update (CheckOptions::router): watched-literal
-  /// clause evaluation instead of residual-graph transitions.
+  /// Instances the automaton backend stepped through the point-algebra
+  /// engine this update: watched-literal clause evaluation instead of
+  /// residual-graph transitions.
   size_t num_pointalg_instances = 0;
   /// Verdict provenance (CheckOptions::provenance): populated on the update
   /// that flips the monitor to permanently violated, then re-attached to
@@ -129,7 +129,7 @@ class Monitor {
   }
 
   /// The current database state D_t (all relations empty before the first
-  /// transaction). On the router's past route it lives inside the delegated
+  /// transaction). On the past route it lives inside the delegated
   /// past evaluator.
   const DatabaseState& current_state() const {
     return past_ != nullptr ? past_->current_state() : state_;
@@ -194,11 +194,11 @@ class Monitor {
   ptl::Formula RenameResidualCodes(
       ptl::Formula f, const std::unordered_map<Value, Value>& code_map);
 
-  // Automaton backend (kEager only): advances the shared transition system
+  // Automaton backend (kEager only): advances the joint residual graph
   // through the new state, recompiling the joint formula and replaying the
-  // stored word first when fresh-element instances changed it.
-  Status AutomatonApply(bool joint_changed, const ptl::PropState& w,
-                        MonitorVerdict* verdict);
+  // stored word first when its membership changed; returns its liveness.
+  Result<bool> AutomatonApply(bool joint_changed, const ptl::PropState& w,
+                              MonitorVerdict* verdict);
 
   ptl::Formula RenameLetters(ptl::Formula f,
                              const std::unordered_map<ptl::PropId, ptl::PropId>& map);
@@ -225,6 +225,10 @@ class Monitor {
   // each transaction's ops (O(delta) instead of an O(database) rescan per
   // update); the first update reads it off the whole state.
   ptl::PropState cur_letter_;
+  // Per predicate: 1 when the matrix mentions it (marked by GroundMatrix).
+  // Only those predicates' tuples get letters: any other tuple never changes
+  // a residual, and its letter would only widen every word entry.
+  std::vector<uint8_t> reads_pred_;
 
   // The current database state, updated in place, and the rigid constants:
   // the word and the checkpoint formulas carry the rest (Lemmas 4.1, 4.2).
@@ -416,7 +420,7 @@ class Monitor {
   std::vector<ProgressClass> progress_classes_;
   size_t progress_classes_instances_ = 0;  // running_residuals_.size() when built
 
-  // --- Cohort lockstep state (kAutomaton + CheckOptions::cohort_stepping) ---
+  // --- Cohort lockstep state (kAutomaton) ---
   // Instances whose residuals share no ground atoms (union-find over PropIds)
   // are *letter-disjoint*: sat(AND of their residuals) equals AND of their
   // individual sat verdicts, because models over disjoint atom sets compose.
@@ -431,9 +435,9 @@ class Monitor {
   // cohort with one table row gather (or one cell read when all slots sit in
   // the same state).
   //
-  // Instances that DO share atoms take a cohort slot each too when the router
-  // is on and every member of their letter-connected component is in the
-  // release fragment (TransitionSystem::release_fragment): after the current
+  // Instances that DO share atoms take a cohort slot each too when every
+  // member of their letter-connected component is in the release fragment
+  // (TransitionSystem::release_fragment): after the current
   // letter L every live member is satisfied by L^omega, so the component is
   // live iff every slot is, with no joint automaton and no tableau. The
   // remaining atom-sharing components keep the exact joint residual-graph
@@ -444,8 +448,8 @@ class Monitor {
                 // false residual)
     kCohort,    // letter-disjoint or release-fragment, stepped in SoA lockstep
     kInert,     // residual is `true`: never violated, nothing to step
-    kPointAlg,  // point-algebra fragment (CheckOptions::router): stepped by
-                // the watched-literal PointBackend, no automaton at all
+    kPointAlg,  // point-algebra fragment: stepped by the watched-literal
+                // PointBackend, no automaton at all
   };
   struct Cohort {
     std::shared_ptr<ptl::TransitionSystem> ts;
@@ -481,7 +485,7 @@ class Monitor {
   static constexpr uint32_t kCellUndiscovered = 0xFFFFFFFFu;
   std::vector<Cohort> cohorts_;
   flat::FlatMap<const void*, uint32_t> cohort_by_ts_;  // TS ptr -> cohort idx
-  std::vector<Placement> placement_;  // per instance; empty = cohorting off
+  std::vector<Placement> placement_;  // per instance; empty = not placed yet
   bool cohorts_built_ = false;
   size_t num_joint_ = 0;         // instances with Placement::kJoint
   size_t num_cohort_slots_ = 0;  // instances with Placement::kCohort
@@ -514,15 +518,12 @@ class Monitor {
   uint64_t cohort_table_hits_ = 0;  // slots answered by the dense table
   std::vector<ptl::PropId> atoms_scratch_;  // AtomsOf output, reused
 
-  // Tractable-fragment router (CheckOptions::router). Point-algebra-fragment
-  // instances (whole letter-connected components only) step through this
-  // watched-literal backend instead of any automaton, and atom-sharing
-  // release-fragment components step as cohort slots; pa_routing_ caches
-  // whether the router is active for this monitor. When the constraint is a
-  // closed `G A` with A past (and no universal prefix), the whole monitor
-  // delegates to past_ instead and none of the machinery above runs.
+  // Point-algebra-fragment instances (whole letter-connected components
+  // only) step through this watched-literal backend instead of any
+  // automaton. When the constraint is a closed `G A` with A past (and no
+  // universal prefix), the whole monitor delegates to past_ instead and none
+  // of the machinery above runs.
   PointBackend pa_;
-  bool pa_routing_ = false;
   std::vector<const ptl::PaShape*> pa_shape_;  // per instance, null = no match
   std::unique_ptr<past::PastMonitor> past_;
 
@@ -544,9 +545,9 @@ class Monitor {
   // Unions the components of `a` and `b`, merging their Component facts.
   void DsuUnion(uint32_t a, uint32_t b);
   // The one placement rule, per letter-connected component: point-algebra if
-  // every member matches (router on), else a cohort slot per member if the
-  // component is a singleton or (router on) wholly in the release fragment,
-  // else the joint residual graph.
+  // every member matches, else a cohort slot per member if the component is a
+  // singleton or wholly in the release fragment, else the joint residual
+  // graph.
   Placement ComponentRule(uint32_t root) const;
   // Distinct residual atoms of `f` into atoms_scratch_ (explicit stack).
   void AtomsOf(ptl::Formula f);
@@ -565,6 +566,10 @@ class Monitor {
   // whose handle has a null `ts`).
   Result<Placement> PlaceOne(uint32_t idx, const ptl::AutomatonHandle& h);
   Status RebuildPlacements();
+  // Drop the joint residual graph (a new epoch) / every placement table (the
+  // next update re-places all instances). Capacity is kept.
+  void ResetJoint();
+  void ResetPlacements();
   // Advances every cohort through `w`; *all_live = AND of per-slot liveness.
   Status CohortStepAll(const ptl::PropState& w, MonitorVerdict* verdict,
                        bool* all_live);

@@ -231,6 +231,22 @@ FotlCase GenerateSafetyCase(Entropy* ent, const SafetyCaseOptions& options) {
               static_cast<int>(ent->Below(
                   static_cast<uint32_t>(options.max_depth - options.min_depth + 1)));
   fotl::Formula matrix = builder.GenSafe(ent, num_vars, depth);
+  if (options.next_anchor) {
+    // x != y -> ((Pi(y) & Pj(x)) -> X Pk(x)), drawn one atom per statement
+    // (argument evaluation order is unspecified).
+    fotl::FormulaFactory& fac = *builder.factory();
+    fotl::Term v[2] = {builder.Var(0), builder.Var(1)};
+    auto atom = [&](size_t var) {
+      uint32_t p = ent->Below(static_cast<uint32_t>(num_preds));
+      return *fac.Atom(builder.preds()[p], {v[var]});
+    };
+    fotl::Formula pi_y = atom(1);
+    fotl::Formula pj_x = atom(0);
+    fotl::Formula pk_x = atom(0);
+    fotl::Formula trigger = fac.Implies(fac.And(pi_y, pj_x), fac.Next(pk_x));
+    matrix = fac.And(matrix,
+                     fac.Implies(fac.Not(fac.Equals(v[0], v[1])), trigger));
+  }
   fotl::Formula phi = builder.Quantify(builder.factory()->Always(matrix), num_vars);
   size_t len =
       options.min_stream +

@@ -135,6 +135,11 @@ struct SafetyCaseOptions {
   /// When >= 0, this element joins the universe for the back half of the
   /// stream; -1 disables the fresh-element arrival.
   Value fresh_element = 4;
+  /// Conjoins `x != y -> ((Pi(y) & Pj(x)) -> X Pk(x))` to the matrix, which
+  /// links every pair of distinct real elements into one letter-connected
+  /// component outside the release fragment: the automaton backend steps
+  /// such a case through the joint residual graph. \pre min_vars == 2
+  bool next_anchor = false;
 };
 
 /// \brief One-call structure-aware case generator: a closed universal safety

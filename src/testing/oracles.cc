@@ -8,7 +8,9 @@
 #include "checker/extension.h"
 #include "checker/monitor.h"
 #include "checker/trigger.h"
+#include "fotl/classify.h"
 #include "fotl/printer.h"
+#include "past/past_monitor.h"
 #include "ptl/transition_system.h"
 #include "ptl/word.h"
 #include "testing/reproducer.h"
@@ -103,23 +105,21 @@ Result<OracleResult> BackendVerdictsAgree(const FotlCase& c) {
 }
 
 Result<OracleResult> CohortConfigsAgree(const FotlCase& c) {
-  // Four independent constructions of the same per-update verdict sequence:
-  // the literal progression procedure, the joint residual graph (cohorts
-  // off), cohort lockstep with minimization forced every discovery, and
-  // cohort lockstep with minimization disabled.
+  // Three independent constructions of the same per-update verdict sequence:
+  // the literal progression procedure, and the automaton backend (cohort
+  // slots, point-algebra units and the joint residual graph, as placed) with
+  // cohort minimization forced at every discovery and disabled.
   struct Config {
     const char* name;
     checker::CheckOptions opts;
   };
-  std::vector<Config> configs(4);
+  std::vector<Config> configs(3);
   configs[0].name = "progression";
   configs[0].opts.backend = checker::MonitorBackend::kProgression;
-  configs[1].name = "joint";
-  configs[1].opts.cohort_stepping = false;
-  configs[2].name = "cohort+minimize";
-  configs[2].opts.cohort_minimize_interval = 1;
-  configs[3].name = "cohort";
-  configs[3].opts.cohort_minimize_interval = 0;
+  configs[1].name = "cohort+minimize";
+  configs[1].opts.cohort_minimize_interval = 1;
+  configs[2].name = "cohort";
+  configs[2].opts.cohort_minimize_interval = 0;
 
   std::vector<std::unique_ptr<checker::Monitor>> monitors;
   for (const Config& cfg : configs) {
@@ -147,29 +147,23 @@ Result<OracleResult> CohortConfigsAgree(const FotlCase& c) {
 }
 
 Result<OracleResult> RouterConfigsAgree(const FotlCase& c,
-                                        const RouterDiffOptions& options,
-                                        RouterDiffCounts* counts) {
-  // Four independent constructions of the same per-update verdict sequence:
-  // the literal progression procedure, the automaton path with the router
-  // off, the router's default configuration, and the router with the past
-  // route forced (which only engages when the sentence is always-past; on
-  // anything else it degenerates to the default router). Optionally a fifth:
-  // the lazy (weak) verdict, which must coincide on the release fragment.
+                                        const RouterDiffOptions& options) {
+  // Independent constructions of the same per-update verdict sequence: the
+  // literal progression procedure and the automaton backend with its
+  // fragment placements; optionally the lazy (weak) verdict, which must
+  // coincide on the release fragment; and, for a closed always-past
+  // sentence the past evaluator accepts, that evaluator run directly. A
+  // universal always-past sentence is where Theorem 4.2's potential
+  // satisfaction and the classical G-past verdict provably coincide.
   struct Config {
     const char* name;
     checker::CheckOptions opts;
     checker::MonitorMode mode = checker::MonitorMode::kEager;
   };
-  std::vector<Config> configs(4);
+  std::vector<Config> configs(2);
   configs[0].name = "progression";
   configs[0].opts.backend = checker::MonitorBackend::kProgression;
-  configs[1].name = "router-off";
-  configs[1].opts.router = false;
-  configs[2].name = "router";
-  configs[2].opts.router = true;
-  configs[3].name = "router+force-past";
-  configs[3].opts.router = true;
-  configs[3].opts.router_force_past = true;
+  configs[1].name = "automaton";
   if (options.lazy_equals_eager) {
     configs.push_back(Config{"lazy", {}, checker::MonitorMode::kLazy});
   }
@@ -180,49 +174,55 @@ Result<OracleResult> RouterConfigsAgree(const FotlCase& c,
                                                           {}, cfg.opts, cfg.mode));
     monitors.push_back(std::move(m));
   }
+  std::unique_ptr<past::PastMonitor> past;
+  fotl::Classification cls = fotl::Classify(c.sentence);
+  if (cls.closed && cls.is_always_past) {
+    Result<std::unique_ptr<past::PastMonitor>> p =
+        past::PastMonitor::Create(c.factory, c.sentence);
+    if (p.ok()) past = std::move(*p);
+  }
+  auto diverged = [&](size_t t, const checker::MonitorVerdict& ref,
+                      const char* name, bool sat, bool dead) {
+    return Fail(std::string("router config divergence at t=") +
+                    std::to_string(t) + ": progression (sat=" +
+                    std::to_string(ref.potentially_satisfied) + ", dead=" +
+                    std::to_string(ref.permanently_violated) + ") vs " + name +
+                    " (sat=" + std::to_string(sat) +
+                    ", dead=" + std::to_string(dead) + ")",
+                c);
+  };
   size_t max_routed = 0;
-  RouterDiffCounts peak;
   for (size_t t = 0; t < c.stream.size(); ++t) {
+    const bool compact_now =
+        options.compact_every > 0 && (t + 1) % options.compact_every == 0;
     TIC_ASSIGN_OR_RETURN(auto ref, monitors[0]->ApplyTransaction(c.stream[t]));
     for (size_t i = 1; i < monitors.size(); ++i) {
       TIC_ASSIGN_OR_RETURN(auto v, monitors[i]->ApplyTransaction(c.stream[t]));
       if (v.potentially_satisfied != ref.potentially_satisfied ||
           v.permanently_violated != ref.permanently_violated) {
-        return Fail(
-            std::string("router config divergence at t=") + std::to_string(t) +
-                ": progression (sat=" + std::to_string(ref.potentially_satisfied) +
-                ", dead=" + std::to_string(ref.permanently_violated) + ") vs " +
-                configs[i].name + " (sat=" + std::to_string(v.potentially_satisfied) +
-                ", dead=" + std::to_string(v.permanently_violated) + ")",
-            c);
+        return diverged(t, ref, configs[i].name, v.potentially_satisfied,
+                        v.permanently_violated);
       }
-      if (i == 1 && v.num_pointalg_instances != 0) {
-        return Fail("router-off monitor routed " +
-                        std::to_string(v.num_pointalg_instances) +
-                        " instances at t=" + std::to_string(t),
-                    c);
+      if (i == 1) max_routed = std::max(max_routed, v.num_pointalg_instances);
+      if (compact_now) TIC_RETURN_NOT_OK(monitors[i]->Compact());
+    }
+    if (past != nullptr) {
+      TIC_ASSIGN_OR_RETURN(past::PastVerdict pv,
+                           past->ApplyTransaction(c.stream[t]));
+      const bool dead = pv.first_violation.has_value();
+      if (dead == ref.potentially_satisfied ||
+          dead != ref.permanently_violated) {
+        return diverged(t, ref, "past", !dead, dead);
       }
-      if (i == 1) {
-        peak.cohort_slots_off =
-            std::max(peak.cohort_slots_off, v.num_cohort_instances);
-      }
-      if (i == 2) {
-        max_routed = std::max(max_routed, v.num_pointalg_instances);
-        peak.cohort_slots_on =
-            std::max(peak.cohort_slots_on, v.num_cohort_instances);
-      }
-      if (options.compact_every > 0 && (t + 1) % options.compact_every == 0) {
-        TIC_RETURN_NOT_OK(monitors[i]->Compact());
-      }
+      if (compact_now) TIC_RETURN_NOT_OK(past->Compact());
     }
   }
   if (max_routed < options.min_routed) {
-    return Fail("router-on monitor routed only " + std::to_string(max_routed) +
+    return Fail("automaton monitor routed only " + std::to_string(max_routed) +
                     " point-algebra instances (suite expects >= " +
                     std::to_string(options.min_routed) + ")",
                 c);
   }
-  if (counts != nullptr) *counts = peak;
   return OracleResult{};
 }
 

@@ -39,11 +39,12 @@ Result<OracleResult> TableauEnginesAgree(ptl::Factory* fac, ptl::Formula f,
 /// of the literal Lemma 4.2 progression + CheckSat procedure.
 Result<OracleResult> BackendVerdictsAgree(const FotlCase& c);
 
-/// \brief Cohort-configuration equality: the cohort lockstep path (SoA
-/// states, dense-table gather stepping) — with offline minimization forced
-/// (interval 1) and disabled (interval 0) — must produce exactly the
-/// per-update verdicts of the joint residual-graph path (cohorts off) and of
-/// the literal progression baseline, on every transaction of the case.
+/// \brief Cohort-configuration equality: the automaton backend — cohort
+/// lockstep slots (SoA states, dense-table gather stepping) for the
+/// components its placement rule sends there, the joint residual graph for
+/// the rest — with offline minimization forced (interval 1) and disabled
+/// (interval 0) must produce exactly the per-update verdicts of the literal
+/// progression baseline, on every transaction of the case.
 Result<OracleResult> CohortConfigsAgree(const FotlCase& c);
 
 /// \brief Minimizer metamorphic oracle on one compiled PTL formula: stepping
@@ -76,7 +77,7 @@ Result<OracleResult> RenamingInvariant(const FotlCase& c,
 
 /// \brief Knobs of RouterConfigsAgree.
 struct RouterDiffOptions {
-  /// Fails unless the router-on monitor reports at least this many
+  /// Fails unless the automaton monitor reports at least this many
   /// point-algebra instances at some update (guards against the suite
   /// silently testing nothing when a generator drifts out of the fragment).
   size_t min_routed = 0;
@@ -89,23 +90,18 @@ struct RouterDiffOptions {
   bool lazy_equals_eager = false;
 };
 
-/// \brief Peak cohort slots (MonitorVerdict::num_cohort_instances over the
-/// stream) of the router-on and router-off monitors, for coverage guards.
-struct RouterDiffCounts {
-  size_t cohort_slots_on = 0;
-  size_t cohort_slots_off = 0;
-};
-
-/// \brief Router-configuration equality: the tractable-fragment router
-/// (point-algebra backend for matching components, release cohorts for
-/// atom-sharing release-fragment components, forced past route where the
-/// sentence allows it) must produce exactly the per-update verdicts of the
-/// router-off automaton path and of the literal progression baseline, on
-/// every transaction of the case. `counts`, when given, receives the peak
-/// cohort slot counts.
+/// \brief Fragment-placement equality: the automaton backend, which places
+/// each letter-connected component on the point-algebra engine, on release
+/// cohort slots or on the joint residual graph (and runs a closed
+/// non-universal always-past sentence on the past evaluator), must produce
+/// exactly the per-update verdicts of the literal progression baseline, on
+/// every transaction of the case. When the sentence is closed and
+/// always-past and past::PastMonitor accepts it, that evaluator — built
+/// directly, whatever route the monitor takes — must agree too: on a
+/// universal sentence this is the overlap where potential satisfaction and
+/// the classical G-past verdict coincide.
 Result<OracleResult> RouterConfigsAgree(const FotlCase& c,
-                                        const RouterDiffOptions& options = {},
-                                        RouterDiffCounts* counts = nullptr);
+                                        const RouterDiffOptions& options = {});
 
 /// \brief Trigger duality (Section 2): the trigger for condition C fires at t
 /// for substitution theta iff !C(theta) is NOT potentially satisfied. Runs

@@ -110,7 +110,6 @@ TEST_F(AllocCountTest, SteadyStateCohortGatherAllocatesNothing) {
   ASSERT_TRUE(testing::AllocCountingAvailable());
   auto m = *Monitor::Create(fac_, submit_once_);
   ASSERT_EQ(m->options().backend, MonitorBackend::kAutomaton);
-  ASSERT_TRUE(m->options().cohort_stepping);
 
   std::vector<Value> universe;
   for (Value v = 1; v <= 32; ++v) universe.push_back(v);
@@ -221,7 +220,6 @@ TEST_F(AllocCountTest, SteadyStateReleaseCohortFlipsAllocateNothing) {
       "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) until "
       "(Sub(y) & ((!Fill(x)) until (Fill(y) & !Fill(x))))))");
   auto m = *Monitor::Create(fac_, fifo);
-  ASSERT_TRUE(m->options().router);
   DatabaseState shadow(vocab_);
 
   // Order t % 4 + 1 is submitted at t and filled at t + 1 (the
@@ -389,7 +387,7 @@ TEST_F(AllocCountTest, RecurringDeltaStaysFlat) {
   EXPECT_LE(late.allocations(), per_cycle);
 }
 
-// The same zero-allocation bound for the router's point-algebra backend: 16
+// The same zero-allocation bound for the point-algebra engine: 16
 // letter-disjoint instances of a trigger-shaped fragment sentence, all routed
 // to the watched-literal PointBackend (no automaton at all). A warmed empty
 // update touches nothing; a warmed recurring antecedent flip walks OnFlip +
@@ -400,7 +398,6 @@ TEST_F(AllocCountTest, SteadyStatePointAlgebraStepAllocatesNothing) {
   auto trigger =
       *fotl::Parse(fac_.get(), "forall x . G (Sub(x) -> G Fill(x))");
   auto m = *Monitor::Create(fac_, trigger);
-  ASSERT_TRUE(m->options().router);
 
   // Populate: Fill holds for the whole universe (so armed triggers survive),
   // then arm element 7's trigger.
@@ -461,9 +458,7 @@ TEST_F(AllocCountTest, SteadyStatePointAlgebraStepAllocatesNothing) {
 TEST_F(AllocCountTest, SteadyStatePastEvaluatorStepAllocatesNothing) {
   ASSERT_TRUE(testing::AllocCountingAvailable());
   auto past = *fotl::Parse(fac_.get(), "forall x . G (Fill(x) -> O Sub(x))");
-  CheckOptions options;
-  options.router_force_past = true;
-  auto m = *Monitor::Create(fac_, past, {}, options);
+  auto m = *Monitor::Create(fac_, past);
 
   ASSERT_TRUE(m->ApplyTransaction(Txn({1, 2, 3})).ok());
   ASSERT_TRUE(m->ApplyTransaction(Txn({}, {1, 2})).ok());

@@ -2,19 +2,19 @@
 // generated safety sentences and random update streams, the SoA cohort
 // stepper (dense state x letter-class table, word-parallel gather, offline
 // Hopcroft-style minimization) must produce exactly the same per-update
-// verdicts as the joint residual-graph path it bypasses and as the literal
-// progression baseline. The shared oracle (testing/oracles.h) runs every
-// case through four configurations — progression reference, automaton with
-// cohorts off, cohorts on with minimization forced every update, cohorts on
-// with minimization disabled — and fails on any sat/violated divergence.
+// verdicts as the literal progression baseline. The shared oracle
+// (testing/oracles.h) runs every case through three configurations —
+// progression reference, and the automaton backend with cohort minimization
+// forced every discovery and disabled — and fails on any sat/violated
+// divergence.
 //
 // Three families:
 //   A. Random safe sentences (1 and 2 variables) over churn streams with a
 //      fresh element arriving mid-stream: 2-variable cases ground to
-//      letter-SHARING instance sets, so the union-find places them on the
-//      joint path and the oracle checks the placement split itself; the
-//      fresh element exercises incremental cohort growth and, on merges,
-//      the demotion + rebuild path.
+//      letter-SHARING instance sets, so the union-find places their
+//      components on release cohort slots or the joint path and the oracle
+//      checks the placement split itself; the fresh element exercises
+//      incremental cohort growth and, on merges, the demotion + rebuild path.
 //   B. Wide single-variable cohorts over a 6-element universe: every
 //      grounded instance is letter-disjoint, so the whole population steps
 //      through one cohort's gather loop with slots in genuinely distinct
@@ -51,8 +51,8 @@ void ExpectCohortConfigsAgree(const tt::FotlCase& kase,
 TEST(CohortDiffTest, RandomSafeSentencesAgreeAcrossConfigs) {
   // Family A: 700 random safe sentences with the default generator knobs
   // (the same distribution the backend diff suite runs). The 2-variable
-  // draws produce instances sharing ground atoms, which must land on the
-  // joint path; the 1-variable draws cohort.
+  // draws produce instances sharing ground atoms, which land on release
+  // cohort slots or the joint path; the 1-variable draws cohort.
   constexpr int kCases = 700;
   auto replay = tt::ReplaySeedFromEnv();
   for (int c = 0; c < kCases; ++c) {

@@ -30,6 +30,10 @@ class MonitorTest : public ::testing::Test {
         fac_.get(),
         "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) until "
         "(Sub(y) & ((!Fill(x)) until (Fill(y) & !Fill(x))))))");
+    // submit_once guarded by any Fill: instances over two elements share
+    // Sub/Fill atoms and carry an X, so they step on the joint residual graph.
+    joint_ = *fotl::Parse(fac_.get(),
+                          "forall x y . G ((Sub(x) & Fill(y)) -> X G !Sub(x))");
   }
 
   Transaction Txn(std::vector<Value> subs, std::vector<Value> fills,
@@ -63,6 +67,7 @@ class MonitorTest : public ::testing::Test {
   std::shared_ptr<fotl::FormulaFactory> fac_;
   fotl::Formula submit_once_ = nullptr;
   fotl::Formula fifo_ = nullptr;
+  fotl::Formula joint_ = nullptr;
 };
 
 TEST_F(MonitorTest, CreateValidatesTheFragment) {
@@ -365,23 +370,22 @@ TEST_F(MonitorTest, VerdictCacheAccumulatesHitsOnSteadyStates) {
 }
 
 TEST_F(MonitorTest, AutomatonBackendMemoizesSteadyStates) {
-  // Same steady stream on the automaton backend: after the first occurrence
-  // of a (residual, letter) pair, updates are pure transition-memo hits and
-  // the tableau never runs again — live_queries stays at the number of
-  // distinct residuals reached. Pinned to the joint residual-graph path: the
-  // default cohort lockstep path counts table-cell reads instead of joint
-  // steps (covered by the cohort-specific tests below).
-  CheckOptions options;
-  options.cohort_stepping = false;
-  auto m = *Monitor::Create(fac_, submit_once_, {}, options);
+  // A steady stream on the automaton backend: after the first occurrence of
+  // a (residual, letter) pair, updates are pure transition-memo hits and the
+  // tableau never runs again — live_queries stays at the number of distinct
+  // residuals reached. The constraint's instances share atoms outside the
+  // release fragment (X), so they step through the joint residual graph; a
+  // cohort counts table-cell reads instead (covered by the cohort suites).
+  auto m = *Monitor::Create(fac_, joint_);
   MonitorVerdict last;
   for (int step = 0; step < 6; ++step) {
-    auto v = m->ApplyTransaction(Txn({}, {1}));  // Fill(1) every state
+    auto v = m->ApplyTransaction(Txn({}, {1, 2}));  // Fill(1), Fill(2) always
     ASSERT_TRUE(v.ok()) << v.status().ToString();
     EXPECT_TRUE(v->potentially_satisfied);
     EXPECT_EQ(v->backend, MonitorBackend::kAutomaton);
     last = *v;
   }
+  EXPECT_EQ(last.num_cohort_instances, 0u);  // all four pairs are joint
   EXPECT_EQ(last.automaton_stats.steps, 6u);
   EXPECT_GT(last.automaton_stats.memo_hits, 0u);
   // Steady loop: the residual graph stabilizes after at most two states, so
@@ -395,14 +399,13 @@ TEST_F(MonitorTest, TableauStatsPerUpdateAndCumulative) {
   // CheckSat counters reset per call, so verdict.tableau_stats covers only
   // the latest update; cumulative_tableau_stats must be the running sum of
   // the per-update stats, and must freeze (not reset) once the monitor dies.
-  // Joint path only: cohort liveness is precompiled per state (lazy safety
-  // expansion), so the cohort path never reaches the monitor's CheckSat.
-  CheckOptions options;
-  options.cohort_stepping = false;
-  auto m = *Monitor::Create(fac_, submit_once_, {}, options);
+  // Joint path only (joint_ shares atoms outside the release fragment):
+  // cohort liveness is precompiled per state (lazy safety expansion), so the
+  // cohort path never reaches the monitor's CheckSat.
+  auto m = *Monitor::Create(fac_, joint_);
   ptl::TableauStats sum;
   for (int step = 0; step < 4; ++step) {
-    auto v = m->ApplyTransaction(Txn({}, {1}));  // Fill(1), never violating
+    auto v = m->ApplyTransaction(Txn({}, {1, 2}));  // never violating
     ASSERT_TRUE(v.ok()) << v.status().ToString();
     sum += v->tableau_stats;
     EXPECT_EQ(v->cumulative_tableau_stats.num_states, sum.num_states);
@@ -414,7 +417,7 @@ TEST_F(MonitorTest, TableauStatsPerUpdateAndCumulative) {
   EXPECT_GT(sum.num_expansions, 0u);
   ASSERT_GE(sum.num_expansions, m->last_verdict().tableau_stats.num_expansions);
 
-  // Kill the monitor: resubmission of 1 after an unsubmit.
+  // Kill the monitor: resubmission of 1 after an unsubmit, Fill(1) holding.
   ASSERT_TRUE(m->ApplyTransaction(Txn({1}, {})).ok());
   ASSERT_TRUE(m->ApplyTransaction(Txn({}, {}, {1})).ok());
   auto dead = m->ApplyTransaction(Txn({1}, {}));

@@ -272,8 +272,8 @@ TEST_F(ProvenanceTest, TriggerExplanationsAreOptional) {
 // the stream is rebuilt from the case instead of from the monitor.
 
 void RunDifferentialFamily(uint32_t seed_base, int num_cases, MonitorMode mode,
-                           MonitorBackend backend, bool cohorts,
-                           int* violated_count, bool compact = false) {
+                           MonitorBackend backend, int* violated_count,
+                           bool compact = false) {
   auto replay_seed = tt::ReplaySeedFromEnv();
   for (int c = 0; c < num_cases; ++c) {
     if (replay_seed && *replay_seed != static_cast<uint64_t>(c)) continue;
@@ -284,7 +284,6 @@ void RunDifferentialFamily(uint32_t seed_base, int num_cases, MonitorMode mode,
 
     CheckOptions options;
     options.backend = backend;
-    options.cohort_stepping = cohorts;
     auto monitor =
         Monitor::Create(kase.factory, kase.sentence, {}, options, mode);
     ASSERT_TRUE(monitor.ok()) << label << ": " << monitor.status().ToString()
@@ -335,8 +334,7 @@ void RunDifferentialFamily(uint32_t seed_base, int num_cases, MonitorMode mode,
 TEST(ProvenanceDifferentialTest, EagerAutomatonWitnessesReplay) {
   int violated = 0;
   RunDifferentialFamily(0x51a7e001u, 300, MonitorMode::kEager,
-                        MonitorBackend::kAutomaton, /*cohorts=*/true,
-                        &violated);
+                        MonitorBackend::kAutomaton, &violated);
   // The generator's churn streams violate often; an unviolated sweep would
   // mean this suite tests nothing.
   EXPECT_GE(violated, 50) << "suspiciously few violations";
@@ -345,16 +343,14 @@ TEST(ProvenanceDifferentialTest, EagerAutomatonWitnessesReplay) {
 TEST(ProvenanceDifferentialTest, EagerProgressionWitnessesReplay) {
   int violated = 0;
   RunDifferentialFamily(0x51a7e002u, 150, MonitorMode::kEager,
-                        MonitorBackend::kProgression, /*cohorts=*/false,
-                        &violated);
+                        MonitorBackend::kProgression, &violated);
   EXPECT_GE(violated, 25);
 }
 
 TEST(ProvenanceDifferentialTest, LazyModeWitnessesReplay) {
   int violated = 0;
   RunDifferentialFamily(0x51a7e003u, 100, MonitorMode::kLazy,
-                        MonitorBackend::kProgression, /*cohorts=*/false,
-                        &violated);
+                        MonitorBackend::kProgression, &violated);
   EXPECT_GE(violated, 15);
 }
 
@@ -362,8 +358,8 @@ TEST(ProvenanceDifferentialTest, HistoryLessModeWitnessesReplay) {
   // History-less monitoring: progression compacted after every update.
   int violated = 0;
   RunDifferentialFamily(0x51a7e004u, 100, MonitorMode::kEager,
-                        MonitorBackend::kProgression, /*cohorts=*/false,
-                        &violated, /*compact=*/true);
+                        MonitorBackend::kProgression, &violated,
+                        /*compact=*/true);
   EXPECT_GE(violated, 15);
 }
 

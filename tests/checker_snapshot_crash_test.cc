@@ -25,10 +25,11 @@ namespace {
 
 namespace tt = ::tic::testing;
 
-// Builds a representative snapshot with every universal-route section
-// populated: current state, letters, instances, a word with a repeated run,
-// relevant set, compaction checkpoint, verdict cache.
-std::string UniversalBlob() {
+// Builds a representative snapshot of a live monitor with every
+// universal-route section populated: current state, letters, instances, a
+// word, relevant set, compaction checkpoint (unless `compact` is false),
+// verdict cache.
+std::string UniversalBlob(bool compact = true) {
   auto v = std::make_shared<Vocabulary>();
   PredicateId sub = *v->AddPredicate("Sub", 1);
   PredicateId fill = *v->AddPredicate("Fill", 1);
@@ -44,27 +45,32 @@ std::string UniversalBlob() {
     if (t > 0) txn.push_back(UpdateOp::Delete(sub, {100 + t - 1}));
     EXPECT_TRUE(m->ApplyTransaction(txn).ok());
     if (t == 2) {
+      // Withdraw Sub(102) first: a state repeated while it holds would
+      // submit it twice and kill the monitor.
+      EXPECT_TRUE(m->ApplyTransaction({UpdateOp::Delete(sub, {102})}).ok());
       EXPECT_TRUE(m->ApplyTransaction(Transaction{}).ok());  // repeated run
     }
   }
-  EXPECT_TRUE(m->Compact().ok());
+  if (compact) {
+    EXPECT_TRUE(m->Compact().ok());
+  }
   Transaction txn;
   txn.push_back(UpdateOp::Insert(sub, {500}));
+  EXPECT_TRUE(m->last_verdict().potentially_satisfied);
   EXPECT_TRUE(m->ApplyTransaction(txn).ok());
   return *MonitorCheckpoint::Serialize(*m);
 }
 
-// A past-route snapshot (kSecPast populated instead of the universal set).
+// A past-route snapshot (kSecPast populated instead of the universal set):
+// G with the quantifier inside, which only the past evaluator takes.
 std::string PastBlob() {
   tt::CaseBuilder builder(2);
   fotl::FormulaFactory& fac = *builder.factory();
   tt::Entropy ent(0x5eedu);
   fotl::Formula matrix =
       fac.Implies(builder.Lit(&ent, 1), builder.LitConj(&ent, 1));
-  fotl::Formula phi = builder.Quantify(fac.Always(matrix), 1);
-  CheckOptions opts;
-  opts.router_force_past = true;
-  auto m = *Monitor::Create(builder.factory(), phi, {}, opts);
+  fotl::Formula phi = fac.Always(builder.Quantify(matrix, 1));
+  auto m = *Monitor::Create(builder.factory(), phi);
   for (int t = 0; t < 5; ++t) {
     EXPECT_TRUE(
         m->ApplyTransaction(tt::ChurnTxn(&ent, builder.preds(), {1, 2, 3}))
@@ -222,25 +228,33 @@ TEST_P(SnapshotCrashTest, GarbageAndEmptyInputs) {
   EXPECT_FALSE(snapshot::LooksLikeSnapshot("TICSNAP9"));
 }
 
-// Rebuilds `blob` with its meta prefix passed through `edit`, every section
-// (and its CRC) otherwise intact, so a rejection can only come from the
-// semantic check of the edited field.
-std::string WithMeta(const std::string& blob,
-                     void (*edit)(snapshot::MetaPrefix*)) {
+// Rebuilds `blob` with the head of section `id` rewritten by `edit` (which
+// reads what it replaces from `in` and writes its replacement to `out`; the
+// unread rest is copied), every other byte intact and every CRC recomputed,
+// so a rejection can only come from the semantic check of the edited field.
+template <typename Edit>
+std::string WithSection(const std::string& blob, uint32_t id, Edit edit) {
   auto reader = *snapshot::SnapshotReader::Parse(blob);
   snapshot::SnapshotWriter w(reader.flags());
   for (const auto& sec : reader.sections()) {
     snapshot::ByteWriter* out = w.AddSection(sec.id);
     snapshot::ByteReader in(sec.payload);
-    if (sec.id == snapshot::kSecMeta) {
-      snapshot::MetaPrefix meta = *snapshot::ReadMetaPrefix(&in);
-      edit(&meta);
-      snapshot::WriteMetaPrefix(out, meta);
-    }
+    if (sec.id == id) edit(&in, out);
     out->PutBytes(sec.payload.data() + (sec.payload.size() - in.remaining()),
                   in.remaining());
   }
   return w.Finish();
+}
+
+// `blob` with its meta prefix passed through `edit`.
+std::string WithMeta(const std::string& blob,
+                     void (*edit)(snapshot::MetaPrefix*)) {
+  return WithSection(blob, snapshot::kSecMeta,
+                     [edit](snapshot::ByteReader* in, snapshot::ByteWriter* out) {
+                       snapshot::MetaPrefix meta = *snapshot::ReadMetaPrefix(in);
+                       edit(&meta);
+                       snapshot::WriteMetaPrefix(out, meta);
+                     });
 }
 
 TEST(SnapshotVersionTest, RetiredModeAndOldStateVersionFailClosed) {
@@ -269,6 +283,51 @@ TEST(SnapshotVersionTest, RetiredModeAndOldStateVersionFailClosed) {
   ASSERT_FALSE(v2.ok()) << "restore accepted state version 2";
   EXPECT_NE(v2.status().ToString().find("version 2"), std::string::npos)
       << v2.status().ToString();
+
+  // Version 3 carried the retired router / cohort-stepping option bits
+  // (1-3) and letters for predicates the constraint never mentions.
+  auto v3 = MonitorCheckpoint::Restore(
+      WithMeta(blob, [](snapshot::MetaPrefix* m) { m->state_version = 3; }));
+  ASSERT_FALSE(v3.ok()) << "restore accepted state version 3";
+  EXPECT_NE(v3.status().ToString().find("version 3"), std::string::npos)
+      << v3.status().ToString();
+  auto retired_bits = MonitorCheckpoint::Restore(WithMeta(
+      blob, [](snapshot::MetaPrefix* m) { m->option_flags |= 0xEu; }));
+  EXPECT_FALSE(retired_bits.ok()) << "restore accepted option bits 1-3";
+}
+
+// `blob` with `extra` more repeats on the word's last run (the current
+// letter after the runs is copied as is).
+std::string WithLongerLastRun(const std::string& blob, uint64_t extra) {
+  return WithSection(
+      blob, snapshot::kSecWord,
+      [extra](snapshot::ByteReader* in, snapshot::ByteWriter* out) {
+        uint64_t runs = *in->ReadU64();
+        out->PutU64(runs);
+        for (uint64_t i = 0; i < runs; ++i) {
+          uint64_t repeat = *in->ReadU64();
+          out->PutU64(i + 1 == runs ? repeat + extra : repeat);
+          uint32_t ntrue = *in->ReadU32();
+          out->PutU32(ntrue);
+          for (uint32_t j = 0; j < ntrue; ++j) out->PutU32(*in->ReadU32());
+        }
+      });
+}
+
+// The word holds exactly one letter per state since the checkpoint: a run
+// stretched by one repeat would replay a state that never happened (into
+// catch-up, epoch replay and provenance times), so restore must refuse it.
+TEST(SnapshotWordTest, WordLongerThanTheStatesFailsClosed) {
+  for (bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compacted" : "uncompacted");
+    const std::string blob = UniversalBlob(compact);
+    ASSERT_TRUE(MonitorCheckpoint::Restore(blob).ok());
+    ASSERT_EQ(WithLongerLastRun(blob, 0), blob);
+    auto restored = MonitorCheckpoint::Restore(WithLongerLastRun(blob, 1));
+    ASSERT_FALSE(restored.ok()) << "restore accepted a word one state too long";
+    EXPECT_NE(restored.status().ToString().find("word"), std::string::npos)
+        << restored.status().ToString();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Routes, SnapshotCrashTest, ::testing::Bool(),

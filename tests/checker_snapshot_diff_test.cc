@@ -14,15 +14,16 @@
 // semantics.
 //
 // Families (>= 1050 cases total):
-//   A: 350  automaton backend, cohort stepping on (default options)
-//   B: 250  automaton backend, cohort stepping off
+//   A: 350  automaton backend (default options)
+//   B: 250  automaton backend on constraints whose instances share atoms
+//           outside the release fragment (joint residual graph)
 //   C: 200  progression backend
-//   D: 150  QTCN / point-algebra route (router on, default)
-//   E: 100  past-stateless route (router_force_past)
+//   D: 150  QTCN / point-algebra route (default options)
+//   E: 100  past-stateless route (non-universal G (forall* matrix))
 // plus a metamorphic compaction oracle: compact-at-every-k verdicts equal
 // the never-compacted reference, and snapshot/restore of the compacted twin
-// stays equivalent (90 automaton cases, cohorts on and off, plus 60
-// progression cases).
+// stays equivalent (90 automaton cases, half of them joint-path
+// constructions, plus 60 progression cases).
 //
 // Every failure message carries the case seed and a serialized reproducer;
 // re-run one case with TIC_REPLAY_SEED=<seed>.
@@ -49,6 +50,10 @@ namespace tt = ::tic::testing;
 struct DiffOutcome {
   bool ok = true;
   std::string detail;
+  // Some reference verdict stepped the joint residual graph: on the
+  // automaton backend num_residual_classes counts the joint graph's
+  // conjuncts plus one per cohort.
+  bool joint = false;
 };
 
 // Runs the snapshot-at-midpoint protocol for one case under `options`.
@@ -92,12 +97,20 @@ DiffOutcome RunRestoreEquivalence(const tt::FotlCase& kase,
     return true;
   };
 
+  auto note_joint = [&](const MonitorVerdict& v) {
+    if (v.backend == MonitorBackend::kAutomaton &&
+        v.num_residual_classes > v.num_cohorts) {
+      out.joint = true;
+    }
+  };
+
   for (size_t t = 0; t < cut; ++t) {
     auto va = reference->ApplyTransaction(kase.stream[t]);
     auto vb = subject->ApplyTransaction(kase.stream[t]);
     if (!va.ok()) return fail("reference update failed: " + va.status().ToString());
     if (!vb.ok()) return fail("subject update failed: " + vb.status().ToString());
     if (!compare(*va, *vb, t, "pre-snapshot")) return out;
+    note_joint(*va);
     if (compact_every != 0 && (t + 1) % compact_every == 0) {
       Status s = subject->Compact();
       if (!s.ok()) return fail("Compact failed: " + s.ToString());
@@ -132,6 +145,7 @@ DiffOutcome RunRestoreEquivalence(const tt::FotlCase& kase,
     if (!va.ok()) return fail("reference update failed: " + va.status().ToString());
     if (!vb.ok()) return fail("restored update failed: " + vb.status().ToString());
     if (!compare(*va, *vb, t, "post-restore")) return out;
+    note_joint(*va);
     if (compact_every != 0 && (t + 1) % compact_every == 0) {
       Status s = restored->Compact();
       if (!s.ok()) return fail("post-restore Compact failed: " + s.ToString());
@@ -140,18 +154,28 @@ DiffOutcome RunRestoreEquivalence(const tt::FotlCase& kase,
   return out;
 }
 
-void ExpectEquivalent(const tt::FotlCase& kase, const CheckOptions& options,
+// 2-variable cases whose instances share atoms outside the release fragment.
+tt::SafetyCaseOptions JointCaseOptions() {
+  tt::SafetyCaseOptions options;
+  options.min_vars = 2;
+  options.next_anchor = true;
+  return options;
+}
+
+// Returns whether the reference stepped the joint residual graph.
+bool ExpectEquivalent(const tt::FotlCase& kase, const CheckOptions& options,
                       uint64_t seed, const char* family,
                       size_t compact_every = 0) {
   DiffOutcome out = RunRestoreEquivalence(kase, options, compact_every);
-  ASSERT_TRUE(out.ok) << "family " << family << " seed " << seed << ": "
+  EXPECT_TRUE(out.ok) << "family " << family << " seed " << seed << ": "
                       << out.detail << "\nreproducer (TIC_REPLAY_SEED=" << seed
                       << "):\n"
                       << tt::SerializeCase(kase);
+  return out.joint;
 }
 
 // ---------------------------------------------------------------------------
-// Family A: automaton backend, cohorts on (the default production config).
+// Family A: automaton backend (the default production config).
 // ---------------------------------------------------------------------------
 TEST(SnapshotDiff, FamilyA_AutomatonCohorts) {
   std::optional<uint64_t> replay = tt::ReplaySeedFromEnv();
@@ -160,24 +184,30 @@ TEST(SnapshotDiff, FamilyA_AutomatonCohorts) {
     if (replay && *replay != seed) continue;
     tt::Entropy ent(seed);
     tt::FotlCase kase = tt::GenerateSafetyCase(&ent, tt::SafetyCaseOptions{});
-    CheckOptions options;  // defaults: automaton, cohorts on, router on
-    ExpectEquivalent(kase, options, seed, "A/automaton+cohorts");
+    CheckOptions options;  // defaults: automaton backend
+    ExpectEquivalent(kase, options, seed, "A/automaton");
   }
 }
 
 // ---------------------------------------------------------------------------
-// Family B: automaton backend, cohort stepping disabled (joint graph only).
+// Family B: automaton backend on constraints whose grounded instances share
+// atoms outside the release fragment, so they step through the joint
+// residual graph. Coverage guard: the family fails unless that path ran.
 // ---------------------------------------------------------------------------
-TEST(SnapshotDiff, FamilyB_AutomatonNoCohorts) {
+TEST(SnapshotDiff, FamilyB_AutomatonJoint) {
   std::optional<uint64_t> replay = tt::ReplaySeedFromEnv();
+  size_t joint = 0;
   for (uint64_t c = 0; c < 250; ++c) {
     uint64_t seed = 0x7d3b9c25u + c;
     if (replay && *replay != seed) continue;
     tt::Entropy ent(seed);
-    tt::FotlCase kase = tt::GenerateSafetyCase(&ent, tt::SafetyCaseOptions{});
+    tt::FotlCase kase = tt::GenerateSafetyCase(&ent, JointCaseOptions());
     CheckOptions options;
-    options.cohort_stepping = false;
-    ExpectEquivalent(kase, options, seed, "B/automaton-no-cohorts");
+    if (ExpectEquivalent(kase, options, seed, "B/automaton-joint")) ++joint;
+  }
+  if (!replay) {
+    EXPECT_GE(joint, 200u) << "joint-path family under-exercised the joint "
+                              "residual graph";
   }
 }
 
@@ -214,8 +244,9 @@ TEST(SnapshotDiff, FamilyD_PointAlgebra) {
 }
 
 // ---------------------------------------------------------------------------
-// Family E: past-stateless route (forced). Pure-FO matrix under a
-// forall-prefixed G, streamed over a small churning universe.
+// Family E: past-stateless route. Pure-FO matrix under G with the
+// quantifiers inside (no universal prefix), streamed over a small churning
+// universe.
 // ---------------------------------------------------------------------------
 TEST(SnapshotDiff, FamilyE_PastRoute) {
   std::optional<uint64_t> replay = tt::ReplaySeedFromEnv();
@@ -245,7 +276,7 @@ TEST(SnapshotDiff, FamilyE_PastRoute) {
       }
     };
     fotl::Formula matrix = gen(2 + ent.Below(2));
-    fotl::Formula phi = builder.Quantify(fac.Always(matrix), num_vars);
+    fotl::Formula phi = fac.Always(builder.Quantify(matrix, num_vars));
     if (phi->kind() == fotl::NodeKind::kTrue ||
         phi->kind() == fotl::NodeKind::kFalse) {
       continue;  // constant-folded: nothing to monitor
@@ -261,7 +292,6 @@ TEST(SnapshotDiff, FamilyE_PastRoute) {
     tt::FotlCase kase = builder.Finish(phi, num_vars, std::move(stream));
 
     CheckOptions options;
-    options.router_force_past = true;
     ExpectEquivalent(kase, options, seed, "E/past-route");
     ++ran;
   }
@@ -274,21 +304,26 @@ TEST(SnapshotDiff, FamilyE_PastRoute) {
 // Metamorphic compaction oracle: folding the history prefix into the
 // checkpoint at every k-th transaction (k in {1, 2, 3}) must not change any
 // verdict, and a snapshot taken of the compacted twin must restore into an
-// equivalent monitor. Run over the cohort and the no-cohort automaton config
-// and over the progression backend, whose k = 1 slice is history-less
-// monitoring.
+// equivalent monitor. Run over the automaton backend — on general cases and,
+// for odd c, on joint-path constructions — and over the progression backend,
+// whose k = 1 slice is history-less monitoring.
 // ---------------------------------------------------------------------------
 TEST(SnapshotDiff, MetamorphicCompactEveryK) {
   std::optional<uint64_t> replay = tt::ReplaySeedFromEnv();
+  size_t joint = 0;
   for (uint64_t c = 0; c < 90; ++c) {
     uint64_t seed = 0x6ad0c983u + c;
     if (replay && *replay != seed) continue;
     tt::Entropy ent(seed);
-    tt::FotlCase kase = tt::GenerateSafetyCase(&ent, tt::SafetyCaseOptions{});
+    tt::FotlCase kase = tt::GenerateSafetyCase(
+        &ent, c % 2 == 0 ? tt::SafetyCaseOptions{} : JointCaseOptions());
     size_t k = 1 + (c % 3);
     CheckOptions options;
-    options.cohort_stepping = (c % 2 == 0);
-    ExpectEquivalent(kase, options, seed, "M/compact-every-k", k);
+    if (ExpectEquivalent(kase, options, seed, "M/compact-every-k", k)) ++joint;
+  }
+  if (!replay) {
+    EXPECT_GE(joint, 40u) << "compact-every-k under-exercised the joint "
+                             "residual graph";
   }
   for (uint64_t c = 0; c < 60; ++c) {
     uint64_t seed = 0x3b91e6d5u + c;
@@ -302,8 +337,9 @@ TEST(SnapshotDiff, MetamorphicCompactEveryK) {
   }
 }
 
-// Compaction metamorphic on the past route: the past evaluator folds its
-// history too (auxiliary cells already summarize the prefix).
+// Compaction metamorphic on the past route (G with the quantifier inside):
+// the past evaluator folds its history too (auxiliary cells already
+// summarize the prefix).
 TEST(SnapshotDiff, MetamorphicCompactPastRoute) {
   std::optional<uint64_t> replay = tt::ReplaySeedFromEnv();
   size_t ran = 0;
@@ -315,7 +351,7 @@ TEST(SnapshotDiff, MetamorphicCompactPastRoute) {
     fotl::FormulaFactory& fac = *builder.factory();
     fotl::Formula matrix =
         fac.Implies(builder.LitConj(&ent, 1), builder.Lit(&ent, 1));
-    fotl::Formula phi = builder.Quantify(fac.Always(matrix), 1);
+    fotl::Formula phi = fac.Always(builder.Quantify(matrix, 1));
     if (phi->kind() == fotl::NodeKind::kTrue ||
         phi->kind() == fotl::NodeKind::kFalse) {
       continue;
@@ -326,7 +362,6 @@ TEST(SnapshotDiff, MetamorphicCompactPastRoute) {
     }
     tt::FotlCase kase = builder.Finish(phi, 1, std::move(stream));
     CheckOptions options;
-    options.router_force_past = true;
     ExpectEquivalent(kase, options, seed, "M/compact-past", /*compact_every=*/2);
     ++ran;
   }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checker/checkpoint.h"
@@ -230,9 +231,13 @@ TEST_F(SnapshotTest, CompactedSnapshotSizeIsFlatInHistoryLength) {
   // The tentpole guarantee: after Compact() the snapshot captures O(state),
   // not O(t). Drive two monitors through a periodic stream of different
   // lengths to the SAME database state, compact, and compare blob sizes —
-  // equal bytes. Without compaction the blob must keep growing with t.
+  // equal bytes. Without compaction the blob must keep growing with t. The
+  // constraint reads Fill: a predicate it never mentions gets no letter, so
+  // toggling one would leave the word a single run.
+  fotl::Formula phi =
+      *fotl::Parse(fac_.get(), "forall x . G (Fill(x) -> X (Fill(x) | !Sub(x)))");
   auto run = [&](size_t len, bool compact) -> size_t {
-    auto m = *Monitor::Create(fac_, submit_once_);
+    auto m = *Monitor::Create(fac_, phi);
     for (size_t t = 0; t < len; ++t) {
       // Period-2 churn: Fill(1) toggles, Sub stays empty => the final state
       // for even len is identical regardless of len.
@@ -315,18 +320,16 @@ TEST_F(SnapshotTest, CompactThenSnapshotThenRestoreContinues) {
 }
 
 TEST_F(SnapshotTest, PastRouteRoundTripAndCompact) {
-  // Proposition 2.1 shape: closed forall-prefix over G(past matrix) — forced
-  // onto the past evaluator (the default router only takes non-universal
-  // sentences there).
+  // Proposition 2.1 shape: closed forall-prefix over G(past matrix). The
+  // past operator puts it outside the universal (future-only) class, so the
+  // monitor runs it on the past evaluator.
   fotl::VarId x = fac_->InternVar("x");
   fotl::Formula matrix =
       fac_->Implies(*fac_->Atom(fill_, {fotl::Term::Var(x)}),
                     fac_->Once(*fac_->Atom(sub_, {fotl::Term::Var(x)})));
   fotl::Formula phi = fac_->Forall(x, fac_->Always(matrix));
-  CheckOptions opts;
-  opts.router_force_past = true;
-  auto original = *Monitor::Create(fac_, phi, {}, opts);
-  auto reference = *Monitor::Create(fac_, phi, {}, opts);
+  auto original = *Monitor::Create(fac_, phi);
+  auto reference = *Monitor::Create(fac_, phi);
   ASSERT_TRUE(original->ApplyTransaction(Txn({1})).ok());
   ASSERT_TRUE(reference->ApplyTransaction(Txn({1})).ok());
   ASSERT_TRUE(original->ApplyTransaction(Txn({2}, {1})).ok());
@@ -368,6 +371,57 @@ TEST_F(SnapshotTest, RestoreWithoutCacheImport) {
     ASSERT_TRUE(va.ok() && vb.ok());
     ExpectSameVerdict(*va, *vb, "cold-cache restore");
   }
+}
+
+// Letters exist only for predicates the constraint mentions: the session
+// constraint reads Open and Closed, so a transaction that also inserts Sub
+// and Fill for 100 elements mints 200 letters (Open(e) from the letter,
+// Closed(e) from grounding), not 400. Every word entry and the current
+// letter carry only those.
+TEST(SnapshotLetterTest, LettersOnlyForMentionedPredicates) {
+  auto v = std::make_shared<Vocabulary>();
+  PredicateId sub = *v->AddPredicate("Sub", 1);
+  PredicateId fill = *v->AddPredicate("Fill", 1);
+  PredicateId open = *v->AddPredicate("Open", 1);
+  ASSERT_TRUE(v->AddPredicate("Closed", 1).ok());
+  auto fac = std::make_shared<fotl::FormulaFactory>(
+      std::static_pointer_cast<const Vocabulary>(v));
+  fotl::Formula session = *fotl::Parse(
+      fac.get(), "forall x . G (Open(x) -> X (Open(x) | Closed(x)))");
+  auto m = *Monitor::Create(fac, session);
+  Transaction txn;
+  for (Value e = 1; e <= 100; ++e) {
+    txn.push_back(UpdateOp::Insert(sub, {e}));
+    txn.push_back(UpdateOp::Insert(fill, {e}));
+    txn.push_back(UpdateOp::Insert(open, {e}));
+  }
+  auto verdict = m->ApplyTransaction(txn);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  ASSERT_TRUE(verdict->potentially_satisfied);
+  // Sub and Fill tuples stay in the database all the same.
+  EXPECT_TRUE(m->current_state().Holds(sub, {7}));
+  EXPECT_TRUE(m->current_state().Holds(fill, {7}));
+
+  // (letters, word bytes) of the monitor's snapshot.
+  auto measure = [&]() -> std::pair<uint64_t, size_t> {
+    auto blob = MonitorCheckpoint::Serialize(*m);
+    EXPECT_TRUE(blob.ok()) << blob.status().ToString();
+    auto reader = *snapshot::SnapshotReader::Parse(*blob);
+    snapshot::ByteReader mr(*reader.Require(snapshot::kSecMeta));
+    return {snapshot::ReadMetaPrefix(&mr)->num_letters,
+            reader.Require(snapshot::kSecWord)->size()};
+  };
+  auto [letters, word_bytes] = measure();
+  EXPECT_EQ(letters, 200u);
+
+  // An update touching only Sub leaves the letter unchanged, so the word
+  // extends its run instead of appending an entry.
+  Transaction unread;
+  for (Value e = 1; e <= 100; ++e) {
+    unread.push_back(UpdateOp::Delete(sub, {e}));
+  }
+  ASSERT_TRUE(m->ApplyTransaction(unread).ok());
+  EXPECT_EQ(measure(), std::make_pair(letters, word_bytes));
 }
 
 }  // namespace

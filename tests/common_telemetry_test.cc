@@ -288,16 +288,16 @@ TEST_F(TelemetryTest, AutomatonBackendEmitsStepSpansAndMemoCounters) {
   PredicateId fill = *v->AddPredicate("Fill", 1);
   VocabularyPtr vocab = v;
   auto fac = std::make_shared<fotl::FormulaFactory>(vocab);
-  fotl::Formula submit_once =
-      *fotl::Parse(fac.get(), "forall x . G (Sub(x) -> X G !Sub(x))");
+  // The monitor.automaton_step span belongs to the joint residual-graph path
+  // (cohort lockstep stepping emits monitor.cohort_step instead): this
+  // constraint's instances share atoms outside the release fragment (X).
+  fotl::Formula joint = *fotl::Parse(
+      fac.get(), "forall x y . G ((Sub(x) & Fill(y)) -> X G !Sub(x))");
 
   auto sink = std::make_shared<TraceSink>();
   checker::CheckOptions options;
   options.trace_sink = sink;
-  // The monitor.automaton_step span belongs to the joint residual-graph path;
-  // cohort lockstep stepping emits monitor.cohort_step instead.
-  options.cohort_stepping = false;
-  auto m = checker::Monitor::Create(fac, submit_once, {}, options);
+  auto m = checker::Monitor::Create(fac, joint, {}, options);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
 
   for (int t = 0; t < 60; ++t) {
