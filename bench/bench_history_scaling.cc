@@ -100,8 +100,9 @@ void BM_Fifo_MonitorPerUpdate(benchmark::State& state, size_t threads,
   state.counters["cache_hits"] = static_cast<double>(last.verdict_cache_stats.hits);
   state.counters["cache_misses"] = static_cast<double>(last.verdict_cache_stats.misses);
   if (backend == checker::MonitorBackend::kAutomaton) {
-    // Transition-cache effectiveness: in steady state hits/steps -> 1 and the
-    // tableau never runs (live_queries counts states, not updates).
+    // Cohort table effectiveness (fifo's pairs step as release cohort
+    // slots): in steady state hits/steps -> 1 and the tableau never runs
+    // (live_queries counts cohort states, not updates).
     state.counters["memo_hits"] = static_cast<double>(last.automaton_stats.memo_hits);
     state.counters["memo_steps"] = static_cast<double>(last.automaton_stats.steps);
     state.counters["auto_states"] = static_cast<double>(last.automaton_stats.num_states);

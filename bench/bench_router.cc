@@ -6,8 +6,8 @@
 // The interesting population is the one cohorts CANNOT take: a letter shared
 // through the rigid constant `sys` (Audit(sys)) welds every grounded instance
 // into one letter-connected component, which outside the fragments would
-// step through the joint path — per-update work linear in the population
-// even on the memo-hit steady state. The placement rule proves every member
+// step on progression — a rewrite of every member plus a CheckSat of their
+// conjunction on each update. The placement rule proves every member
 // is a watched-literal fragment unit and steps only flip-touched units
 // instead.
 //

@@ -214,7 +214,7 @@ void BM_Snapshot_FreshElementCatchUp(benchmark::State& state) {
       }
     }
     // One settling update on both arms: the first update after Compact()
-    // recompiles the joint epoch, a one-time cost we don't want folded into
+    // rebuilds every placement, a one-time cost we don't want folded into
     // the per-arrival measurement.
     auto settle = (*m)->ApplyTransaction({});
     if (!settle.ok()) {

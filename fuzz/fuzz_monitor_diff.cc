@@ -28,7 +28,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   options.min_stream = 3;
   options.max_stream = 6;
   options.universe = {1, 2};
-  options.fresh_element = 3;  // exercise the epoch recompile + replay path
+  options.fresh_element = 3;  // exercise placement growth + word catch-up
   testing::FotlCase c = testing::GenerateSafetyCase(&ent, options);
 
   for (auto* oracle : {&testing::BackendVerdictsAgree,

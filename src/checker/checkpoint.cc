@@ -452,9 +452,9 @@ Result<std::string> MonitorCheckpoint::Serialize(const Monitor& m) {
     }
   }
 
-  // One shared node pool over instance bases and compaction patterns. The
-  // progression backend's running residuals are not stored: the restored
-  // monitor derives them from basis plus word on its next update.
+  // One shared node pool over instance bases and compaction patterns.
+  // Running residuals are not stored: the restored monitor derives them
+  // from basis plus word on its next update.
   FormulaPoolWriter pool;
   std::vector<uint32_t> instance_roots;
   instance_roots.reserve(m.instances_.size());

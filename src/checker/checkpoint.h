@@ -42,9 +42,9 @@ struct RestoreOptions {
 /// verdict; the renaming-invariant verdict-cache entries; and, on the past
 /// route, the complete auxiliary-cell image of the past evaluator.
 ///
-/// What intentionally does NOT round-trip: derived machinery (cohorts, the
-/// joint residual graph, point-algebra watch lists, the progression
-/// backend's running residuals and their classes) is rebuilt lazily on the
+/// What intentionally does NOT round-trip: derived machinery (cohorts,
+/// point-algebra watch lists, the running residuals of the instances on
+/// progression and their classes) is rebuilt lazily on the
 /// first post-restore update from the restored checkpoint formulas and word
 /// — it is memoization, never semantic state — and lifetime
 /// statistics (tableau/automaton/cohort counters, provenance diagnoses)

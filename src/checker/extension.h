@@ -25,28 +25,28 @@ namespace checker {
 enum class MonitorBackend {
   /// Lemma 4.2 taken literally: rewrite every residual through the new state
   /// (`ptl::Progress`), then re-run the tableau satisfiability check on the
-  /// residual conjunction from scratch. Always available; produces witnesses.
+  /// residual conjunction (through the shared verdict cache). Always
+  /// available; produces witnesses. The monitor runs it as the automaton
+  /// backend with placement skipped: every instance steps on progression.
   kProgression,
-  /// Compile-once / memoize-everything automaton. Two cooperating machines,
-  /// both advancing by one memoized `(state id, letter signature) -> state id`
-  /// lookup per update instead of per-update rewriting + CheckSat:
+  /// Compile-once / memoize-everything automaton. Two cooperating machines:
   ///  - The *monitor* splits its grounded instances into letter-connected
   ///    components (instances linked by shared ground atoms) and places each
   ///    component by one rule: the watched-literal point-algebra engine
   ///    (checker/pointalg.h) when every member matches a point-algebra unit,
   ///    else one cohort slot per member when the component is a single
   ///    instance or lies wholly in the release fragment (slots step in
-  ///    lockstep over a renaming-shared TransitionSystem), else the
-  ///    residual-graph automaton of the component's joint conjunction:
-  ///    states are hash-consed residuals, liveness is decided once per state
-  ///    (via the shared verdict cache), and recurring database states never
-  ///    touch a formula or a tableau again. Every placement is exact: sat of
-  ///    an atom-disjoint conjunction is the AND of the conjuncts' sat, and a
-  ///    live point-algebra or release-fragment residual that just read
-  ///    letter L is satisfied by L repeated forever — one witness for every
-  ///    member of the component. (The determinized closure-state cover of a
-  ///    joint conjunction is the product of the per-instance covers —
-  ///    exponential in the instance count — so it is not compiled eagerly.)
+  ///    lockstep over a renaming-shared TransitionSystem, one memoized
+  ///    `(state id, letter signature) -> state id` lookup per update, and
+  ///    recurring database states never touch a formula or a tableau
+  ///    again), else progression exactly as kProgression runs it. Every
+  ///    placement is exact: sat of an atom-disjoint conjunction is the AND
+  ///    of the conjuncts' sat, and a live point-algebra or release-fragment
+  ///    residual that just read letter L is satisfied by L repeated forever
+  ///    — one witness for every member of the component. (The determinized
+  ///    closure-state cover of any other atom-sharing component is the
+  ///    product of the per-instance covers — exponential in the instance
+  ///    count — so it is not compiled.)
   ///  - Batch checks and trigger substitution sweeps compile phi_D into a
   ///    closure-bitset ptl::TransitionSystem with precomputed liveness, shared
   ///    across letter renamings through the AutomatonCache; compilation runs
@@ -118,8 +118,7 @@ struct CheckOptions {
   /// and batch checks. The Monitor's cohort path also compiles through this
   /// cache (per-instance residuals are letter-renamings of one another, so
   /// symmetric instances land on one shared TransitionSystem); when null on
-  /// the automaton backend, Monitor defaults a private instance. The joint
-  /// residual graph remains per-monitor state.
+  /// the automaton backend, Monitor defaults a private instance.
   std::shared_ptr<ptl::AutomatonCache> automaton_cache;
 
   /// Re-run offline automaton minimization (TransitionSystem::MinimizeNow)

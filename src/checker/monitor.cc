@@ -15,6 +15,107 @@
 namespace tic {
 namespace checker {
 
+namespace {
+
+// Translates the first-order matrix to PTL: `leaf` maps each atom and
+// equality, the connectives carry over one to one. An explicit-stack
+// post-order walk (a deep user matrix must not overflow the native call
+// stack): frames are pushed twice, first to queue unresolved children, then
+// to combine their memoized translations. Leaves are visited left to right,
+// so letters are minted in first-visit order.
+template <typename Leaf>
+Result<ptl::Formula> TranslateMatrix(ptl::Factory* pf, fotl::Formula matrix,
+                                     Leaf&& leaf) {
+  using fotl::NodeKind;
+  std::unordered_map<fotl::Formula, ptl::Formula> memo;
+  struct Frame {
+    fotl::Formula f;
+    bool expanded;
+  };
+  std::vector<Frame> stack{{matrix, false}};
+  while (!stack.empty()) {
+    Frame fr = stack.back();
+    stack.pop_back();
+    if (memo.count(fr.f) > 0) continue;
+    NodeKind k = fr.f->kind();
+    if (k == NodeKind::kTrue || k == NodeKind::kFalse) {
+      memo.emplace(fr.f, k == NodeKind::kTrue ? pf->True() : pf->False());
+      continue;
+    }
+    if (k == NodeKind::kEquals || k == NodeKind::kAtom) {
+      TIC_ASSIGN_OR_RETURN(ptl::Formula out, leaf(fr.f));
+      memo.emplace(fr.f, out);
+      continue;
+    }
+    fotl::Formula c0 = fr.f->child(0);
+    fotl::Formula c1 = fr.f->child(1);
+    if (!fr.expanded) {
+      stack.push_back({fr.f, true});
+      // Reverse push so the left child is visited (and numbered) first.
+      if (c1 != nullptr && memo.count(c1) == 0) stack.push_back({c1, false});
+      if (c0 != nullptr && memo.count(c0) == 0) stack.push_back({c0, false});
+      continue;
+    }
+    ptl::Formula a = c0 != nullptr ? memo.at(c0) : nullptr;
+    ptl::Formula b = c1 != nullptr ? memo.at(c1) : nullptr;
+    ptl::Formula out;
+    switch (k) {
+      case NodeKind::kNot:
+        out = pf->Not(a);
+        break;
+      case NodeKind::kNext:
+        out = pf->Next(a);
+        break;
+      case NodeKind::kEventually:
+        out = pf->Eventually(a);
+        break;
+      case NodeKind::kAlways:
+        out = pf->Always(a);
+        break;
+      case NodeKind::kAnd:
+        out = pf->And(a, b);
+        break;
+      case NodeKind::kOr:
+        out = pf->Or(a, b);
+        break;
+      case NodeKind::kImplies:
+        out = pf->Implies(a, b);
+        break;
+      case NodeKind::kUntil:
+        out = pf->Until(a, b);
+        break;
+      default:
+        return Status::Internal("unexpected connective in universal matrix");
+    }
+    memo.emplace(fr.f, out);
+  }
+  return memo.at(matrix);
+}
+
+// Calls `visit` on every k-tuple over `domain`, first position fastest: the
+// order instances and compaction patterns are numbered in. k = 0 visits the
+// empty tuple once. \pre domain is non-empty when k > 0.
+template <typename Visit>
+Status ForEachAssignment(const std::vector<GroundElem>& domain, size_t k,
+                         Visit&& visit) {
+  std::vector<size_t> idx(k, 0);
+  std::vector<GroundElem> assignment(k);
+  for (size_t i = 0; i < k; ++i) assignment[i] = domain[0];
+  while (true) {
+    TIC_RETURN_NOT_OK(visit(assignment));
+    size_t d = 0;
+    while (d < k && ++idx[d] == domain.size()) {
+      idx[d] = 0;
+      assignment[d] = domain[0];
+      ++d;
+    }
+    if (d == k) return Status::OK();
+    assignment[d] = domain[idx[d]];
+  }
+}
+
+}  // namespace
+
 size_t Monitor::AssignmentHash::operator()(const std::vector<GroundElem>& a) const {
   // Mix the arity instead of seeding with it raw: assignments all share the
   // same small size, and a raw seed makes the low bits collide heavily (the
@@ -136,82 +237,15 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
   // Safety gate: check the tense skeleton (each first-order atom abstracted to
   // one letter — safety depends only on the temporal structure).
   if (options.require_safety) {
-    // Explicit-stack post-order build (a deep user matrix must not overflow
-    // the native call stack): frames are pushed twice, first to queue
-    // unresolved children, then to combine their memoized skeletons. Each
-    // distinct atom gets one letter, numbered in left-to-right first-visit
-    // order.
+    // Each distinct atom gets one letter, numbered in first-visit order.
     ptl::Factory* pf = m->prop_factory_.get();
-    std::unordered_map<fotl::Formula, ptl::Formula> memo;
     size_t atom_count = 0;
-    struct Frame {
-      fotl::Formula f;
-      bool expanded;
-    };
-    std::vector<Frame> stack{{m->matrix_, false}};
-    while (!stack.empty()) {
-      using fotl::NodeKind;
-      Frame fr = stack.back();
-      stack.pop_back();
-      if (memo.count(fr.f) > 0) continue;
-      NodeKind k = fr.f->kind();
-      if (k == NodeKind::kTrue) {
-        memo.emplace(fr.f, pf->True());
-        continue;
-      }
-      if (k == NodeKind::kFalse) {
-        memo.emplace(fr.f, pf->False());
-        continue;
-      }
-      if (k == NodeKind::kEquals || k == NodeKind::kAtom) {
-        memo.emplace(fr.f, pf->Atom(m->prop_vocab_->Intern(
-                               "skel#" + std::to_string(atom_count++))));
-        continue;
-      }
-      fotl::Formula c0 = fr.f->child(0);
-      fotl::Formula c1 = fr.f->child(1);
-      if (!fr.expanded) {
-        stack.push_back({fr.f, true});
-        // Reverse push so the left child is visited (and numbered) first.
-        if (c1 != nullptr && memo.count(c1) == 0) stack.push_back({c1, false});
-        if (c0 != nullptr && memo.count(c0) == 0) stack.push_back({c0, false});
-        continue;
-      }
-      ptl::Formula a = c0 != nullptr ? memo.at(c0) : nullptr;
-      ptl::Formula b = c1 != nullptr ? memo.at(c1) : nullptr;
-      ptl::Formula out;
-      switch (k) {
-        case NodeKind::kNot:
-          out = pf->Not(a);
-          break;
-        case NodeKind::kNext:
-          out = pf->Next(a);
-          break;
-        case NodeKind::kEventually:
-          out = pf->Eventually(a);
-          break;
-        case NodeKind::kAlways:
-          out = pf->Always(a);
-          break;
-        case NodeKind::kAnd:
-          out = pf->And(a, b);
-          break;
-        case NodeKind::kOr:
-          out = pf->Or(a, b);
-          break;
-        case NodeKind::kImplies:
-          out = pf->Implies(a, b);
-          break;
-        case NodeKind::kUntil:
-          out = pf->Until(a, b);
-          break;
-        default:
-          out = pf->True();  // unreachable for universal matrices
-          break;
-      }
-      memo.emplace(fr.f, out);
-    }
-    ptl::Formula skeleton = memo.at(m->matrix_);
+    TIC_ASSIGN_OR_RETURN(
+        ptl::Formula skeleton,
+        TranslateMatrix(pf, m->matrix_, [&](fotl::Formula) -> Result<ptl::Formula> {
+          return pf->Atom(
+              m->prop_vocab_->Intern("skel#" + std::to_string(atom_count++)));
+        }));
     if (!ptl::IsSyntacticallySafe(pf, skeleton)) {
       return Status::NotSupported(
           "constraint's tense skeleton is not syntactically safe; the monitor "
@@ -230,20 +264,13 @@ Result<std::unique_ptr<Monitor>> Monitor::Create(
   for (size_t i = 0; i < m->external_.size(); ++i) domain.push_back(GroundElem::Z(i));
   if (domain.empty()) domain.push_back(GroundElem::Z(0));
 
-  size_t k = m->external_.size();
-  std::vector<size_t> idx(k, 0);
-  while (true) {
-    std::vector<GroundElem> assignment(k);
-    for (size_t i = 0; i < k; ++i) assignment[i] = domain[idx[i]];
-    TIC_ASSIGN_OR_RETURN(ptl::Formula residual, m->GroundMatrix(assignment));
-    m->instances_.push_back(Instance{std::move(assignment), residual});
-    size_t d = 0;
-    while (d < k && ++idx[d] == domain.size()) {
-      idx[d] = 0;
-      ++d;
-    }
-    if (d == k) break;
-  }
+  TIC_RETURN_NOT_OK(ForEachAssignment(
+      domain, m->external_.size(),
+      [&](const std::vector<GroundElem>& assignment) -> Status {
+        TIC_ASSIGN_OR_RETURN(ptl::Formula residual, m->GroundMatrix(assignment));
+        m->instances_.push_back(Instance{assignment, residual});
+        return Status::OK();
+      }));
   return m;
 }
 
@@ -277,10 +304,7 @@ ptl::PropId Monitor::Letter(PredicateId pred, const std::vector<Value>& codes) {
 Result<ptl::Formula> Monitor::GroundMatrix(const std::vector<GroundElem>& assignment,
                                            size_t keep_z_from) {
   // Simplified-mode grounding (equalities folded, z-atoms false); see
-  // GroundingMode::kSimplified. Explicit-stack post-order traversal, like the
-  // safety-gate skeleton builder: a deep user matrix must not overflow the
-  // native call stack.
-  using fotl::NodeKind;
+  // GroundingMode::kSimplified.
   std::unordered_map<fotl::VarId, GroundElem> env;
   for (size_t i = 0; i < external_.size(); ++i) env[external_[i]] = assignment[i];
 
@@ -293,96 +317,28 @@ Result<ptl::Formula> Monitor::GroundMatrix(const std::vector<GroundElem>& assign
     if (it == env.end()) return Status::Internal("unbound variable in matrix");
     return it->second;
   };
-
-  std::unordered_map<fotl::Formula, ptl::Formula> memo;
-  struct Frame {
-    fotl::Formula f;
-    bool expanded;
-  };
-  std::vector<Frame> stack{{matrix_, false}};
   std::vector<Value> codes;  // scratch reused across atoms
-  while (!stack.empty()) {
-    Frame fr = stack.back();
-    stack.pop_back();
-    if (memo.count(fr.f) > 0) continue;
-    NodeKind k = fr.f->kind();
-    if (k == NodeKind::kTrue) {
-      memo.emplace(fr.f, pf->True());
-      continue;
+  return TranslateMatrix(pf, matrix_, [&](fotl::Formula f) -> Result<ptl::Formula> {
+    if (f->kind() == fotl::NodeKind::kEquals) {
+      TIC_ASSIGN_OR_RETURN(GroundElem a, resolve(f->terms()[0]));
+      TIC_ASSIGN_OR_RETURN(GroundElem b, resolve(f->terms()[1]));
+      return a == b ? pf->True() : pf->False();
     }
-    if (k == NodeKind::kFalse) {
-      memo.emplace(fr.f, pf->False());
-      continue;
+    if (ffac_->vocabulary()->predicate(f->predicate()).builtin != Builtin::kNone) {
+      return Status::NotSupported("builtins unsupported by the monitor");
     }
-    if (k == NodeKind::kEquals) {
-      TIC_ASSIGN_OR_RETURN(GroundElem a, resolve(fr.f->terms()[0]));
-      TIC_ASSIGN_OR_RETURN(GroundElem b, resolve(fr.f->terms()[1]));
-      memo.emplace(fr.f, a == b ? pf->True() : pf->False());
-      continue;
+    reads_pred_[f->predicate()] = 1;
+    codes.clear();
+    bool has_folded_z = false;
+    for (const fotl::Term& t : f->terms()) {
+      TIC_ASSIGN_OR_RETURN(GroundElem e, resolve(t));
+      // Stand-ins at or past keep_z_from survive as letters (compaction
+      // patterns); below it they fold per Axiom_D (kSimplified grounding).
+      has_folded_z = has_folded_z || (e.is_z() && e.z_index() < keep_z_from);
+      codes.push_back(e.code);
     }
-    if (k == NodeKind::kAtom) {
-      if (ffac_->vocabulary()->predicate(fr.f->predicate()).builtin !=
-          Builtin::kNone) {
-        return Status::NotSupported("builtins unsupported by the monitor");
-      }
-      reads_pred_[fr.f->predicate()] = 1;
-      codes.clear();
-      bool has_folded_z = false;
-      for (const fotl::Term& t : fr.f->terms()) {
-        TIC_ASSIGN_OR_RETURN(GroundElem e, resolve(t));
-        // Stand-ins at or past keep_z_from survive as letters (compaction
-        // patterns); below it they fold per Axiom_D as before.
-        has_folded_z = has_folded_z || (e.is_z() && e.z_index() < keep_z_from);
-        codes.push_back(e.code);
-      }
-      // Folded per Axiom_D (kSimplified grounding).
-      memo.emplace(fr.f, has_folded_z
-                             ? pf->False()
-                             : pf->Atom(Letter(fr.f->predicate(), codes)));
-      continue;
-    }
-    fotl::Formula c0 = fr.f->child(0);
-    fotl::Formula c1 = fr.f->child(1);
-    if (!fr.expanded) {
-      stack.push_back({fr.f, true});
-      if (c1 != nullptr && memo.count(c1) == 0) stack.push_back({c1, false});
-      if (c0 != nullptr && memo.count(c0) == 0) stack.push_back({c0, false});
-      continue;
-    }
-    ptl::Formula a = c0 != nullptr ? memo.at(c0) : nullptr;
-    ptl::Formula b = c1 != nullptr ? memo.at(c1) : nullptr;
-    ptl::Formula out;
-    switch (k) {
-      case NodeKind::kNot:
-        out = pf->Not(a);
-        break;
-      case NodeKind::kNext:
-        out = pf->Next(a);
-        break;
-      case NodeKind::kEventually:
-        out = pf->Eventually(a);
-        break;
-      case NodeKind::kAlways:
-        out = pf->Always(a);
-        break;
-      case NodeKind::kAnd:
-        out = pf->And(a, b);
-        break;
-      case NodeKind::kOr:
-        out = pf->Or(a, b);
-        break;
-      case NodeKind::kImplies:
-        out = pf->Implies(a, b);
-        break;
-      case NodeKind::kUntil:
-        out = pf->Until(a, b);
-        break;
-      default:
-        return Status::Internal("unexpected connective in universal matrix");
-    }
-    memo.emplace(fr.f, out);
-  }
-  return memo.at(matrix_);
+    return has_folded_z ? pf->False() : pf->Atom(Letter(f->predicate(), codes));
+  });
 }
 
 Result<ptl::Formula> Monitor::ProgressThroughWord(ptl::Formula residual) {
@@ -413,32 +369,22 @@ Status Monitor::CreateFreshInstances(const std::vector<Value>& fresh) {
     for (Value v : merged) domain.push_back(GroundElem::Relevant(v));
     for (size_t i = 0; i < k; ++i) domain.push_back(GroundElem::Z(i));
     std::unordered_set<Value> fresh_set(fresh.begin(), fresh.end());
-
-    std::vector<size_t> idx(k, 0);
-    while (true) {
-      bool touches_fresh = false;
-      for (size_t i = 0; i < k; ++i) {
-        const GroundElem& e = domain[idx[i]];
-        if (!e.is_z() && fresh_set.count(e.value()) > 0) {
-          touches_fresh = true;
-          break;
-        }
-      }
-      if (touches_fresh) {
-        std::vector<GroundElem> assignment(k);
-        for (size_t i = 0; i < k; ++i) assignment[i] = domain[idx[i]];
-        TIC_ASSIGN_OR_RETURN(ptl::Formula basis,
-                             compacted_ ? CompactBaseResidual(assignment)
-                                        : GroundMatrix(assignment));
-        instances_.push_back(Instance{std::move(assignment), basis});
-      }
-      size_t d = 0;
-      while (d < k && ++idx[d] == domain.size()) {
-        idx[d] = 0;
-        ++d;
-      }
-      if (d == k) break;
-    }
+    TIC_RETURN_NOT_OK(ForEachAssignment(
+        domain, k, [&](const std::vector<GroundElem>& assignment) -> Status {
+          bool touches_fresh = false;
+          for (const GroundElem& e : assignment) {
+            if (!e.is_z() && fresh_set.count(e.value()) > 0) {
+              touches_fresh = true;
+              break;
+            }
+          }
+          if (!touches_fresh) return Status::OK();
+          TIC_ASSIGN_OR_RETURN(ptl::Formula basis,
+                               compacted_ ? CompactBaseResidual(assignment)
+                                          : GroundMatrix(assignment));
+          instances_.push_back(Instance{assignment, basis});
+          return Status::OK();
+        }));
   }
   known_relevant_ = std::move(merged);
   return Status::OK();
@@ -569,19 +515,9 @@ Result<ptl::Formula> Monitor::CompactBaseResidual(
 
 Status Monitor::BuildCompactPatterns() {
   const size_t k = external_.size();
-  std::vector<CompactPattern> patterns;
-  flat::FlatMap<std::vector<GroundElem>, size_t, flat::Remixed<AssignmentHash>,
-                AssignmentEq>
-      index;
-  if (k == 0) {
-    // A closed matrix has one instance and no fresh-element arrivals: no
-    // patterns to keep.
-    compact_patterns_ = std::move(patterns);
-    compact_pattern_index_ = std::move(index);
-    return Status::OK();
-  }
   // Domain: everything relevant now, the real stand-ins, and one kept
-  // stand-in per variable position (k of them saturate any assignment).
+  // stand-in per variable position (k of them saturate any assignment). A
+  // closed matrix (k = 0) has no fresh-element arrivals, so no patterns.
   std::vector<GroundElem> domain;
   for (Value v : known_relevant_) domain.push_back(GroundElem::Relevant(v));
   for (size_t i = 0; i < 2 * k; ++i) domain.push_back(GroundElem::Z(i));
@@ -593,48 +529,38 @@ Status Monitor::BuildCompactPatterns() {
         "^" + std::to_string(k) + " assignments exceeds the cap");
   }
 
-  std::vector<size_t> idx(k, 0);
-  while (true) {
-    // Keep only canonical assignments with at least one kept stand-in: kept
-    // indices must appear in first-occurrence order starting at k, so each
-    // renaming class is enumerated (and stored) exactly once.
-    bool any_keep = false;
-    bool canonical = true;
-    size_t expected = k;
-    for (size_t i = 0; i < k && canonical; ++i) {
-      const GroundElem& e = domain[idx[i]];
-      if (!e.is_z() || e.z_index() < k) continue;
-      any_keep = true;
-      if (e.z_index() == expected) {
-        ++expected;
-      } else if (e.z_index() > expected) {
-        canonical = false;
-      }
-    }
-    if (any_keep && canonical) {
-      std::vector<GroundElem> assignment(k);
-      for (size_t i = 0; i < k; ++i) assignment[i] = domain[idx[i]];
-      // Basis at the last checkpoint (or t=0 on the first compaction), then
-      // the stored word brings it to the new checkpoint. The kept stand-ins
-      // ground as live letters — GroundMatrix's keep_z_from — so the residual
-      // still mentions them and renaming can instantiate future arrivals.
-      ptl::Formula base;
-      if (compacted_) {
-        TIC_ASSIGN_OR_RETURN(base, CompactBaseResidual(assignment));
-      } else {
-        TIC_ASSIGN_OR_RETURN(base, GroundMatrix(assignment, /*keep_z_from=*/k));
-      }
-      TIC_ASSIGN_OR_RETURN(ptl::Formula residual, ProgressThroughWord(base));
-      index.Emplace(assignment, patterns.size());
-      patterns.push_back(CompactPattern{std::move(assignment), residual});
-    }
-    size_t d = 0;
-    while (d < k && ++idx[d] == domain.size()) {
-      idx[d] = 0;
-      ++d;
-    }
-    if (d == k) break;
-  }
+  std::vector<CompactPattern> patterns;
+  flat::FlatMap<std::vector<GroundElem>, size_t, flat::Remixed<AssignmentHash>,
+                AssignmentEq>
+      index;
+  TIC_RETURN_NOT_OK(ForEachAssignment(
+      domain, k, [&](const std::vector<GroundElem>& assignment) -> Status {
+        // Keep only canonical assignments with at least one kept stand-in:
+        // kept indices must appear in first-occurrence order starting at k,
+        // so each renaming class is enumerated (and stored) exactly once.
+        size_t expected = k;
+        for (const GroundElem& e : assignment) {
+          if (!e.is_z() || e.z_index() < k) continue;
+          if (e.z_index() > expected) return Status::OK();
+          if (e.z_index() == expected) ++expected;
+        }
+        if (expected == k) return Status::OK();
+        // Basis at the last checkpoint (or t=0 on the first compaction),
+        // then the stored word brings it to the new checkpoint. The kept
+        // stand-ins ground as live letters — GroundMatrix's keep_z_from — so
+        // the residual still mentions them and renaming can instantiate
+        // future arrivals.
+        ptl::Formula base;
+        if (compacted_) {
+          TIC_ASSIGN_OR_RETURN(base, CompactBaseResidual(assignment));
+        } else {
+          TIC_ASSIGN_OR_RETURN(base, GroundMatrix(assignment, /*keep_z_from=*/k));
+        }
+        TIC_ASSIGN_OR_RETURN(ptl::Formula residual, ProgressThroughWord(base));
+        index.Emplace(assignment, patterns.size());
+        patterns.push_back(CompactPattern{assignment, residual});
+        return Status::OK();
+      }));
   compact_patterns_ = std::move(patterns);
   compact_pattern_index_ = std::move(index);
   return Status::OK();
@@ -651,22 +577,26 @@ Status Monitor::Compact() {
     // patterns through CompactBaseResidual while building the new ones.
     TIC_RETURN_NOT_OK(BuildCompactPatterns());
     // Rebase every instance to its formula at the new checkpoint, so the
-    // cleared word stays the whole replay domain. A running residual already
-    // is that formula; the rest replay the word, memoized per distinct basis
-    // — symmetric instances rebase once.
+    // cleared word stays the whole replay domain. An instance on progression
+    // already holds that formula as its running residual; the rest replay
+    // the word, memoized per distinct basis — symmetric instances rebase
+    // once.
+    std::vector<ptl::Formula> now(instances_.size(), nullptr);
+    for (size_t p = 0; p < running_residuals_.size(); ++p) {
+      now[prog_members_[p]] = running_residuals_[p];
+    }
     std::unordered_map<ptl::Formula, ptl::Formula> memo;
     for (size_t i = 0; i < instances_.size(); ++i) {
       ptl::Formula& basis = instances_[i].residual;
-      if (i < running_residuals_.size()) {
-        basis = running_residuals_[i];
-        continue;
+      if (now[i] == nullptr) {
+        auto it = memo.find(basis);
+        if (it == memo.end()) {
+          TIC_ASSIGN_OR_RETURN(ptl::Formula folded, ProgressThroughWord(basis));
+          it = memo.emplace(basis, folded).first;
+        }
+        now[i] = it->second;
       }
-      auto it = memo.find(basis);
-      if (it == memo.end()) {
-        TIC_ASSIGN_OR_RETURN(ptl::Formula now, ProgressThroughWord(basis));
-        it = memo.emplace(basis, now).first;
-      }
-      basis = it->second;
+      basis = now[i];
     }
   } else {
     // A dead monitor's verdict never changes again: its instances are not
@@ -679,63 +609,32 @@ Status Monitor::Compact() {
   time_base_ = num_states_ - 1;
   word_.clear();
 
-  // Invalidate everything derived from pre-fold basis or word positions: the
-  // next update recompiles the joint epoch and rebuilds every placement from
-  // the rebased instances. The running residuals and their classes describe
-  // "now" and stay valid, as does cur_letter_ — it describes the current
-  // state, which survives the fold.
-  ResetJoint();
+  // Invalidate everything derived from pre-fold bases or word positions: on
+  // the automaton backend the next update rebuilds every placement, the
+  // progression set included, from the rebased instances. On the progression
+  // backend nothing is placed, and the running residuals and their classes
+  // describe "now" and stay valid, as does cur_letter_ — it describes the
+  // current state, which survives the fold.
   ResetPlacements();
-  cohorts_built_ = false;
   TIC_COUNTER_ADD("monitor/compactions", 1);
   TIC_RECORD(kEpochReset, time_base_, instances_.size(), 0);
   return Status::OK();
 }
 
-Status Monitor::ProgressAll(const ptl::PropState& w, size_t* num_classes) {
+Status Monitor::ProgressAll(const ptl::PropState& w) {
   TIC_SPAN("monitor.progress");
-  // Persistent partition of instances into residual equivalence classes.
-  // Progression is a pure function of the residual, so once built the classes
-  // stay valid across updates — the steady-state path walks the class list
+  // Persistent partition of the running residuals into equivalence classes.
+  // Progression is a pure function of the residual, so the classes stay
+  // valid across updates — the steady-state path walks the class list
   // directly instead of re-hashing every instance's formula per transaction.
-  // Rebuild only when running residuals were added since the partition was
-  // taken.
-  if (progress_classes_instances_ != running_residuals_.size()) {
-    progress_classes_.clear();
-    flat::FlatMap<ptl::Formula, size_t>& class_of = class_of_scratch_;
-    class_of.Clear();
-    for (size_t m = 0; m < running_residuals_.size(); ++m) {
-      auto [e, inserted] =
-          class_of.Emplace(running_residuals_[m], progress_classes_.size());
-      if (inserted) {
-        progress_classes_.push_back(ProgressClass{running_residuals_[m], {}});
-      }
-      progress_classes_[e->second].members.push_back(static_cast<uint32_t>(m));
-    }
-    progress_classes_instances_ = running_residuals_.size();
-  }
-
-  // Count and progress only live classes (a false residual is a fixpoint);
-  // dead classes keep their members pinned at false.
-  size_t live_classes = 0;
-  for (const ProgressClass& pc : progress_classes_) {
-    if (pc.residual->kind() != ptl::Kind::kFalse) ++live_classes;
-  }
-  if (num_classes != nullptr) *num_classes = live_classes;
-
   // Result<T> is not default-constructible; collect values and errors apart.
   const size_t n = progress_classes_.size();
   std::vector<ptl::Formula> progressed(n, nullptr);
   std::vector<Status> errors(n);
   ptl::Factory* pf = prop_factory_.get();
   auto step = [&](size_t i) {
-    ptl::Formula f = progress_classes_[i].residual;
-    if (f->kind() == ptl::Kind::kFalse) {
-      progressed[i] = f;
-      return;
-    }
     TIC_SPAN("monitor.progress_class");
-    Result<ptl::Formula> r = ptl::Progress(pf, f, w);
+    Result<ptl::Formula> r = ptl::Progress(pf, progress_classes_[i].residual, w);
     if (r.ok()) {
       progressed[i] = *r;
     } else {
@@ -748,7 +647,7 @@ Status Monitor::ProgressAll(const ptl::PropState& w, size_t* num_classes) {
   } else {
     for (size_t i = 0; i < n; ++i) step(i);
   }
-  TIC_COUNTER_ADD("monitor/residual_classes", live_classes);
+  TIC_COUNTER_ADD("monitor/residual_classes", n);
   for (const Status& s : errors) TIC_RETURN_NOT_OK(s);
 
   // Fan progressed residuals back out, then merge classes whose results
@@ -779,6 +678,33 @@ Status Monitor::ProgressAll(const ptl::PropState& w, size_t* num_classes) {
   return Status::OK();
 }
 
+Status Monitor::CatchUp() {
+  if (running_residuals_.size() == prog_members_.size()) return Status::OK();
+  TIC_SPAN("monitor.catch_up");
+  std::vector<ptl::Formula> caught_up;
+  for (size_t p = running_residuals_.size(); p < prog_members_.size(); ++p) {
+    TIC_ASSIGN_OR_RETURN(ptl::Formula now,
+                         ProgressThroughWord(instances_[prog_members_[p]].residual));
+    caught_up.push_back(now);
+  }
+  // Re-partition wholesale (the caught-up residuals may join existing
+  // classes), so the classes always cover exactly the running residuals.
+  running_residuals_.insert(running_residuals_.end(), caught_up.begin(),
+                            caught_up.end());
+  progress_classes_.clear();
+  flat::FlatMap<ptl::Formula, size_t>& class_of = class_of_scratch_;
+  class_of.Clear();
+  for (size_t p = 0; p < running_residuals_.size(); ++p) {
+    auto [e, inserted] =
+        class_of.Emplace(running_residuals_[p], progress_classes_.size());
+    if (inserted) {
+      progress_classes_.push_back(ProgressClass{running_residuals_[p], {}});
+    }
+    progress_classes_[e->second].members.push_back(static_cast<uint32_t>(p));
+  }
+  return Status::OK();
+}
+
 uint32_t Monitor::DsuFind(uint32_t i) {
   while (dsu_parent_[i] != i) {
     dsu_parent_[i] = dsu_parent_[dsu_parent_[i]];  // path halving
@@ -805,7 +731,7 @@ Monitor::Placement Monitor::ComponentRule(uint32_t root) const {
   const Component& c = comp_[root];
   if (c.all_pa) return Placement::kPointAlg;
   if (dsu_size_[root] == 1 || c.all_release) return Placement::kCohort;
-  return Placement::kJoint;
+  return Placement::kProgression;
 }
 
 void Monitor::AtomsOf(ptl::Formula f) {
@@ -872,7 +798,7 @@ Result<Monitor::Placement> Monitor::PlaceOne(uint32_t idx,
   ptl::Formula residual = instances_[idx].residual;
   if (residual->kind() == ptl::Kind::kTrue) return Placement::kInert;
   if (residual->kind() == ptl::Kind::kFalse || h.ts == nullptr) {
-    return Placement::kJoint;
+    return Placement::kProgression;
   }
   uint32_t c;
   if (const uint32_t* hit = cohort_by_ts_.Get(h.ts.get())) {
@@ -947,16 +873,6 @@ void Monitor::WatchLetter(ptl::PropId p, uint64_t owner) {
   touch_lists_.push_back(std::move(owners));
 }
 
-void Monitor::ResetJoint() {
-  joint_ = nullptr;
-  num_joint_classes_ = 0;
-  auto_states_.clear();
-  auto_state_ids_.Clear();
-  auto_sigs_.Clear();
-  auto_memo_.Clear();
-  auto_alphabet_.clear();
-}
-
 void Monitor::ResetPlacements() {
   cohorts_.clear();
   cohort_by_ts_.Clear();
@@ -967,7 +883,6 @@ void Monitor::ResetPlacements() {
   dsu_parent_.clear();
   dsu_size_.clear();
   comp_.clear();
-  num_joint_ = 0;
   num_cohort_slots_ = 0;
   pa_.Reset();
   pa_shape_.clear();
@@ -978,17 +893,20 @@ Status Monitor::RebuildPlacements() {
   // now move (a cohort or point-algebra component absorbed a member outside
   // its fragment), or placements were dropped (first update, Compact,
   // restore): recompute the whole partition. Correct by simplicity —
-  // instances hold their checkpoint formulas, so moving to the joint path
-  // needs no state surgery (the joint epoch replay catches demoted instances
-  // up from the checkpoint), and re-cohorted instances replay through the
-  // shared transition memo.
+  // instances hold their checkpoint formulas, so the recomputed progression
+  // set catches up from them (this update's CatchUp), and re-cohorted
+  // instances replay through the shared transition memo.
   TIC_SPAN("monitor.cohort_rebuild");
   TIC_COUNTER_ADD("monitor/cohort_rebuilds", 1);
   ResetPlacements();
+  prog_members_.clear();
+  running_residuals_.clear();
+  progress_classes_.clear();
   // Nothing is placed yet, so nothing can have to move.
   TIC_ASSIGN_OR_RETURN(bool placed, PlaceRange(0));
   (void)placed;
-  TIC_RECORD(kCohortRebuild, cohorts_.size(), num_cohort_slots_, num_joint_);
+  TIC_RECORD(kCohortRebuild, cohorts_.size(), num_cohort_slots_,
+             prog_members_.size());
   return Status::OK();
 }
 
@@ -1008,7 +926,7 @@ Result<bool> Monitor::PlaceRange(size_t first) {
   dsu_parent_.resize(n);
   dsu_size_.resize(n);
   comp_.resize(n);
-  placement_.resize(n, Placement::kJoint);
+  placement_.resize(n, Placement::kProgression);
   pa_shape_.resize(n, nullptr);
   for (uint32_t i = lo; i < n; ++i) {
     dsu_parent_[i] = i;
@@ -1039,8 +957,8 @@ Result<bool> Monitor::PlaceRange(size_t first) {
     Result<ptl::AutomatonHandle> h = options_.automaton_cache->Get(
         prop_factory_, instances_[i].residual, options_.tableau);
     if (!h.ok()) {
-      // Budget blowups (non-safe formulas with huge covers) fall back to the
-      // joint residual graph, which only materializes visited states.
+      // Budget blowups (non-safe formulas with huge covers) fall back to
+      // progression, which only materializes the residuals visited.
       TIC_COUNTER_ADD("monitor/cohort_compile_fallbacks", 1);
       comp_[r].all_release = false;
       continue;
@@ -1067,7 +985,7 @@ Result<bool> Monitor::PlaceRange(size_t first) {
     }
     placement_[i] = pl;
     comp_[r].placed |= uint8_t{1} << static_cast<uint8_t>(pl);
-    if (pl == Placement::kJoint) ++num_joint_;
+    if (pl == Placement::kProgression) prog_members_.push_back(i);
   }
   if (pa_routed > 0) {
     size_t units = pa_.num_units();
@@ -1080,22 +998,23 @@ Result<bool> Monitor::PlaceRange(size_t first) {
   return true;
 }
 
-Result<bool> Monitor::PlaceInstances(size_t first_new) {
+Status Monitor::PlaceInstances() {
   const size_t n = instances_.size();
-  if (cohorts_built_ && first_new == n) return false;  // steady state: no-op
-  if (!cohorts_built_) {
-    cohorts_built_ = true;
-    TIC_RETURN_NOT_OK(RebuildPlacements());
-    return num_joint_ > 0;
+  if (backend_ == MonitorBackend::kProgression) {
+    // Nothing is placed: every instance steps on progression.
+    for (size_t i = prog_members_.size(); i < n; ++i) {
+      prog_members_.push_back(static_cast<uint32_t>(i));
+    }
+    return Status::OK();
   }
-  // Incremental path: extend the union-find with the fresh instances only.
-  size_t joint_before = num_joint_;
-  TIC_ASSIGN_OR_RETURN(bool placed, PlaceRange(first_new));
-  if (!placed) {
-    TIC_RETURN_NOT_OK(RebuildPlacements());
-    return true;
+  const size_t first = placement_.size();
+  if (first == n) return Status::OK();  // steady state: no-op
+  if (first > 0) {
+    // Incremental path: extend the union-find with the fresh instances only.
+    TIC_ASSIGN_OR_RETURN(bool placed, PlaceRange(first));
+    if (placed) return Status::OK();
   }
-  return num_joint_ != joint_before;
+  return RebuildPlacements();
 }
 
 uint64_t Monitor::OnLetterFlip(ptl::PropId p, bool value) {
@@ -1252,149 +1171,6 @@ Status Monitor::CohortStepAll(const ptl::PropState& w, MonitorVerdict* verdict,
   return Status::OK();
 }
 
-uint32_t Monitor::AutoIntern(ptl::Formula f) {
-  if (const uint32_t* hit = auto_state_ids_.Get(f)) return *hit;
-  uint32_t id = static_cast<uint32_t>(auto_states_.size());
-  // A false residual is known dead for free; everything else waits for the
-  // first AutoLive query.
-  auto_states_.push_back(
-      AutoState{f, f->kind() == ptl::Kind::kFalse ? int8_t{0} : int8_t{-1}});
-  auto_state_ids_.Emplace(f, id);
-  return id;
-}
-
-Result<bool> Monitor::AutoLive(uint32_t sid, MonitorVerdict* verdict) {
-  AutoState& st = auto_states_[sid];
-  if (st.live < 0) {
-    // Decide once; the shared verdict cache makes renamed recurrences of the
-    // same residual (common across fresh-element epochs) nearly free.
-    TIC_SPAN("monitor.sat_check");
-    ++auto_live_queries_;
-    TIC_ASSIGN_OR_RETURN(
-        ptl::SatResult sat,
-        ptl::CheckSat(prop_factory_.get(), st.residual, options_.tableau));
-    st.live = sat.satisfiable ? 1 : 0;
-    verdict->tableau_stats += sat.stats;
-    cumulative_tableau_stats_ += sat.stats;
-  }
-  return st.live > 0;
-}
-
-uint32_t Monitor::SigOf(const ptl::PropState& w) {
-  sig_scratch_.assign((auto_alphabet_.size() + 7) / 8, '\0');
-  for (size_t i = 0; i < auto_alphabet_.size(); ++i) {
-    if (w.Get(auto_alphabet_[i])) {
-      sig_scratch_[i >> 3] |= static_cast<char>(1u << (i & 7));
-    }
-  }
-  // flat Emplace constructs the stored key only on a miss — a signature hit
-  // (every step in steady state) copies no string and allocates nothing. The
-  // std::unordered_map it replaces built a node per call even on hits.
-  auto [e, inserted] =
-      auto_sigs_.Emplace(sig_scratch_, static_cast<uint32_t>(auto_sigs_.size()));
-  (void)inserted;
-  return e->second;
-}
-
-Result<uint32_t> Monitor::AutoStep(uint32_t sid, const ptl::PropState& w) {
-  ++auto_steps_;
-  uint64_t key = (static_cast<uint64_t>(sid) << 32) | SigOf(w);
-  if (const uint32_t* hit = auto_memo_.Get(key)) {
-    ++auto_memo_hits_;
-    TIC_COUNTER_ADD("automaton/transition_memo_hits", 1);
-    return *hit;
-  }
-  TIC_COUNTER_ADD("automaton/transition_memo_misses", 1);
-  TIC_ASSIGN_OR_RETURN(
-      ptl::Formula next,
-      ptl::Progress(prop_factory_.get(), auto_states_[sid].residual, w));
-  uint32_t nid = AutoIntern(next);
-  auto_memo_.Emplace(key, nid);
-  TIC_RECORD(kMemoSpill, nid, auto_memo_.size(), key & 0xFFFFFFFFu);
-  return nid;
-}
-
-Result<bool> Monitor::AutomatonApply(bool joint_changed,
-                                     const ptl::PropState& w,
-                                     MonitorVerdict* verdict) {
-  ptl::Factory* pf = prop_factory_.get();
-  if (joint_ == nullptr || joint_changed) {
-    TIC_SPAN("monitor.automaton_compile");
-    // New epoch: reset the residual graph.
-    ResetJoint();
-    // Joint formula over the distinct grounded originals: instances over
-    // symmetric elements share one hash-consed formula, so identity dedup
-    // mirrors ProgressAll's residual classes. The joint conjunction — not a
-    // per-class automaton — is what makes the verdict exact: instances share
-    // letters, so individually live residuals can be jointly dead.
-    std::unordered_set<ptl::Formula> distinct;
-    std::vector<ptl::Formula> parts;
-    parts.reserve(instances_.size());
-    for (size_t i = 0; i < instances_.size(); ++i) {
-      // Only the instances placed on the joint path (atom-sharing outside the
-      // fragments, or compile fallbacks) enter the joint conjunction.
-      if (placement_[i] != Placement::kJoint) continue;
-      const Instance& inst = instances_[i];
-      if (distinct.insert(inst.residual).second) parts.push_back(inst.residual);
-    }
-    num_joint_classes_ = parts.size();
-    joint_ = pf->AndAll(parts);
-    // Progression never introduces atoms, so the joint formula's atom set is
-    // a sound signature alphabet for every residual reachable this epoch.
-    {
-      std::vector<ptl::Formula> stack{joint_};
-      std::unordered_set<ptl::Formula> seen{joint_};
-      std::unordered_set<ptl::PropId> atom_seen;
-      while (!stack.empty()) {
-        ptl::Formula f = stack.back();
-        stack.pop_back();
-        if (f->kind() == ptl::Kind::kAtom) {
-          if (atom_seen.insert(f->atom()).second) {
-            auto_alphabet_.push_back(f->atom());
-          }
-          continue;
-        }
-        for (size_t i = 0; i < 2; ++i) {
-          ptl::Formula c = f->child(i);
-          if (c != nullptr && seen.insert(c).second) stack.push_back(c);
-        }
-      }
-    }
-    auto_current_ = AutoIntern(joint_);
-    auto_prev_ = auto_current_;
-    TIC_RECORD(kEpochReset, num_states_ - 1, instances_.size(), word_.size());
-    // Replay the stored word (it already includes the state just appended).
-    // Replay is progression-only — intermediate liveness is never queried —
-    // so catching up after a fresh element costs one rewrite per past state,
-    // exactly like the progression backend's catch-up, not a tableau per
-    // state.
-    for (const WordEntry& e : word_) {
-      for (uint64_t r = 0; r < e.repeat; ++r) {
-        TIC_ASSIGN_OR_RETURN(uint32_t next, AutoStep(auto_current_, e.w));
-        // Memoized deterministic steps: a self-loop is this run's fixpoint,
-        // so a long run of a recurring state replays in O(1).
-        if (next == auto_current_) break;
-        auto_prev_ = auto_current_;
-        auto_current_ = next;
-      }
-    }
-  } else {
-    TIC_SPAN("monitor.automaton_step");
-    auto_prev_ = auto_current_;
-    TIC_ASSIGN_OR_RETURN(auto_current_, AutoStep(auto_current_, w));
-  }
-  TIC_ASSIGN_OR_RETURN(bool live, AutoLive(auto_current_, verdict));
-  verdict->residual_size = auto_states_[auto_current_].residual->size();
-  verdict->automaton_stats.num_states = auto_states_.size();
-  verdict->automaton_stats.num_state_sets = auto_states_.size();
-  verdict->automaton_stats.num_signatures = auto_sigs_.size();
-  verdict->automaton_stats.steps = auto_steps_;
-  verdict->automaton_stats.memo_hits = auto_memo_hits_;
-  verdict->automaton_stats.live_queries = auto_live_queries_;
-  verdict->automaton_stats.alphabet_size = auto_alphabet_.size();
-  return live;
-}
-
 Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
   TIC_SPAN("monitor.update");
   TIC_COUNTER_ADD("monitor/updates", 1);
@@ -1514,162 +1290,124 @@ Result<MonitorVerdict> Monitor::ApplyTransaction(const Transaction& txn) {
   }
 
   TIC_COUNTER_ADD("monitor/fresh_elements", fresh.size());
-  const size_t first_new = instances_.size();
   if (!fresh.empty()) TIC_RETURN_NOT_OK(CreateFreshInstances(fresh));
 
-  if (backend_ == MonitorBackend::kAutomaton) {
-    // Automaton backend (kEager): each letter-connected component steps on
-    // its placement — cohort slots in SoA lockstep, point-algebra units by
-    // their watched literals, and the rest through the joint residual graph,
-    // which only runs when such components exist and only resets its epoch
-    // when its own membership changed. Recurring database states cost table
-    // reads and hash lookups — no progression rewrite, no tableau.
-    TIC_ASSIGN_OR_RETURN(bool joint_changed, PlaceInstances(first_new));
-    bool cohort_live = true;
-    bool pa_live = true;
-    bool joint_live = true;
-    TIC_RETURN_NOT_OK(CohortStepAll(w, &verdict, &cohort_live));
-    if (pa_.num_instances() > 0) {
-      // Advance exactly the units this transaction's flips touched.
+  // Each letter-connected component steps on its placement: cohort slots in
+  // SoA lockstep, point-algebra units by their watched literals, and the
+  // rest — every instance on the progression backend — on progression.
+  // On the first two, recurring database states cost table reads and hash
+  // lookups: no progression rewrite, no tableau.
+  TIC_RETURN_NOT_OK(PlaceInstances());
+  bool live = true;
+  TIC_RETURN_NOT_OK(CohortStepAll(w, &verdict, &live));
+  if (pa_.num_instances() > 0) {
+    // Advance exactly the units this transaction's flips touched.
 #ifdef TIC_TELEMETRY_ENABLED
-      uint64_t pa_t0 = telemetry::RecorderActive()
-                           ? telemetry::recorder_internal::NowTicks()
-                           : 0;
+    uint64_t pa_t0 = telemetry::RecorderActive()
+                         ? telemetry::recorder_internal::NowTicks()
+                         : 0;
 #endif
-      uint32_t stepped = pa_.StepDirty();
-      pa_live = pa_.all_alive();
-      verdict.num_pointalg_instances = pa_.num_instances();
+    uint32_t stepped = pa_.StepDirty();
+    verdict.num_pointalg_instances = pa_.num_instances();
 #ifdef TIC_TELEMETRY_ENABLED
-      if (pa_t0 != 0) {
-        uint64_t ticks = telemetry::recorder_internal::NowTicks() - pa_t0;
-        TIC_RECORD(kFragmentStep, 1, stepped, ticks);
-      }
+    if (pa_t0 != 0) {
+      uint64_t ticks = telemetry::recorder_internal::NowTicks() - pa_t0;
+      TIC_RECORD(kFragmentStep, 1, stepped, ticks);
+    }
 #endif
-      (void)stepped;
-      if (!pa_live) {
-        // Exact culprits for provenance, appended after CohortStepAll's
-        // own dead-slot collection (it clears dead_scratch_ first).
-        for (uint32_t i = 0; i < placement_.size(); ++i) {
-          if (placement_[i] == Placement::kPointAlg && !pa_.InstanceAlive(i)) {
-            ++dead_total_;
-            if (dead_scratch_.size() < kMaxExplanations) {
-              dead_scratch_.push_back(i);
-            }
+    (void)stepped;
+    if (!pa_.all_alive()) {
+      live = false;
+      // Exact culprits for provenance, appended after CohortStepAll's
+      // own dead-slot collection (it clears dead_scratch_ first).
+      for (uint32_t i = 0; i < placement_.size(); ++i) {
+        if (placement_[i] == Placement::kPointAlg && !pa_.InstanceAlive(i)) {
+          ++dead_total_;
+          if (dead_scratch_.size() < kMaxExplanations) {
+            dead_scratch_.push_back(i);
           }
         }
       }
     }
-    if (num_joint_ > 0) {
-      TIC_ASSIGN_OR_RETURN(joint_live, AutomatonApply(joint_changed, w, &verdict));
-    }
-    verdict.num_residual_classes = num_joint_classes_ + cohorts_.size();
-    // Fold cohort stepping into the automaton counters: a table-cell read
-    // is this path's memo hit.
-    verdict.automaton_stats.steps += cohort_steps_;
-    verdict.automaton_stats.memo_hits += cohort_table_hits_;
-    for (const Cohort& ch : cohorts_) {
-      ptl::TransitionSystemStats s = ch.ts->stats();
-      verdict.automaton_stats.num_states += s.num_states;
-      verdict.automaton_stats.num_state_sets += s.num_state_sets;
-      verdict.automaton_stats.num_signatures += s.num_signatures;
-      verdict.automaton_stats.live_queries += s.live_queries;
-      verdict.automaton_stats.alphabet_size += s.alphabet_size;
-    }
-    // Exact verdict: the monitored condition is the conjunction over all
-    // instances, and sat factors across letter-connected components (the
-    // fragments' witness property makes the point-algebra clause verdict and
-    // the release slots' AND equal per-component sat).
-    verdict.potentially_satisfied = cohort_live && joint_live && pa_live;
-    if (!verdict.potentially_satisfied) {
-      dead_ = true;
-      verdict.permanently_violated = true;
-      if (options_.provenance) {
-        ptl::Formula joint_res =
-            joint_ != nullptr ? auto_states_[auto_current_].residual : nullptr;
-        TIC_RETURN_NOT_OK(BuildExplanations(abs_t, w, joint_res, &verdict));
+  }
+  // Lemma 4.2 taken literally for the instances on progression: rewrite
+  // every running residual through the new letter, catch up the members
+  // that have none yet (placed this update, or every member after a
+  // rebuild) by replaying the word from their basis, then decide the
+  // conjunction. A monitor with no instance on progression skips all of it.
+  ptl::Formula entering = nullptr;  // provenance: the conjunction before w
+  if (!prog_members_.empty()) {
+    // The previous update's conjunction enters this letter unless members
+    // joined since.
+    if (running_residuals_.size() == prog_members_.size()) entering = conj_;
+    TIC_RETURN_NOT_OK(ProgressAll(w));
+    TIC_RETURN_NOT_OK(CatchUp());
+    {
+      // Balanced (AndAll) rather than left-deep: the hash-consed tree stays
+      // logarithmic in depth and re-shares across updates.
+      TIC_SPAN("monitor.conjunction");
+      std::vector<ptl::Formula> parts;
+      parts.reserve(running_residuals_.size());
+      bool any_false = false;
+      for (ptl::Formula r : running_residuals_) {
+        if (r->kind() == ptl::Kind::kFalse) {
+          any_false = true;
+          break;
+        }
+        parts.push_back(r);
       }
+      conj_ = any_false ? prop_factory_->False() : prop_factory_->AndAll(parts);
     }
-    verdict.num_instances = instances_.size();
-    TIC_GAUGE_SET("monitor/instances", instances_.size());
-    TIC_HISTOGRAM_RECORD("monitor/residual_size", verdict.residual_size);
-    verdict.cumulative_tableau_stats = cumulative_tableau_stats_;
-    if (options_.tableau.verdict_cache != nullptr) {
-      verdict.verdict_cache_stats = options_.tableau.verdict_cache->stats();
-    }
-    if (options_.automaton_cache != nullptr) {
-      verdict.automaton_cache_stats = options_.automaton_cache->stats();
-    }
-    NoteVerdict(verdict);
-    last_verdict_ = verdict;
-    return verdict;
-  }
-
-  // Progression backend: step every running residual through the new
-  // letter, then catch up the instances the table does not hold yet (the
-  // initial set on the first update, this update's fresh instances, all of
-  // them after a restore) by replaying the word from their basis.
-  TIC_RETURN_NOT_OK(ProgressAll(w, &verdict.num_residual_classes));
-  if (running_residuals_.size() < instances_.size()) {
-    TIC_SPAN("monitor.catch_up");
-    for (size_t i = running_residuals_.size(); i < instances_.size(); ++i) {
-      TIC_ASSIGN_OR_RETURN(ptl::Formula now,
-                           ProgressThroughWord(instances_[i].residual));
-      running_residuals_.push_back(now);
+    verdict.residual_size = conj_->size();
+    if (conj_->kind() == ptl::Kind::kFalse) {
+      live = false;
+    } else if (live && mode_ == MonitorMode::kEager) {
+      // kLazy (Lipeck–Saake-style weak monitoring) runs no satisfiability
+      // check and reports "no violation detected yet"; nor does an update
+      // whose cohort slots or point-algebra units already died.
+      TIC_SPAN("monitor.sat_check");
+      TIC_ASSIGN_OR_RETURN(ptl::SatResult sat,
+                           ptl::CheckSat(prop_factory_.get(), conj_, options_.tableau));
+      // CheckSat stats are per-call; fold them into the lifetime totals here.
+      verdict.tableau_stats = sat.stats;
+      cumulative_tableau_stats_ += sat.stats;
+      live = sat.satisfiable;
     }
   }
-
-  // Conjunction of residuals, balanced (AndAll) rather than left-deep: the
-  // hash-consed tree stays logarithmic in depth and re-shares across updates.
-  ptl::Formula conj;
-  {
-    TIC_SPAN("monitor.conjunction");
-    std::vector<ptl::Formula> parts;
-    parts.reserve(running_residuals_.size());
-    bool any_false = false;
-    for (ptl::Formula r : running_residuals_) {
-      if (r->kind() == ptl::Kind::kFalse) {
-        any_false = true;
-        break;
-      }
-      parts.push_back(r);
-    }
-    conj = any_false ? prop_factory_->False() : prop_factory_->AndAll(parts);
+  verdict.num_residual_classes = progress_classes_.size() + cohorts_.size();
+  // Fold cohort stepping into the automaton counters: a table-cell read is
+  // this path's memo hit.
+  verdict.automaton_stats.steps = cohort_steps_;
+  verdict.automaton_stats.memo_hits = cohort_table_hits_;
+  for (const Cohort& ch : cohorts_) {
+    ptl::TransitionSystemStats s = ch.ts->stats();
+    verdict.automaton_stats.num_states += s.num_states;
+    verdict.automaton_stats.num_state_sets += s.num_state_sets;
+    verdict.automaton_stats.num_signatures += s.num_signatures;
+    verdict.automaton_stats.live_queries += s.live_queries;
+    verdict.automaton_stats.alphabet_size += s.alphabet_size;
   }
-  verdict.residual_size = conj->size();
+  // Exact verdict: the monitored condition is the conjunction over all
+  // instances, and sat factors across letter-connected components (the
+  // fragments' witness property makes the point-algebra clause verdict and
+  // the release slots' AND equal per-component sat).
+  verdict.potentially_satisfied = live;
+  if (!live) {
+    dead_ = true;
+    verdict.permanently_violated = true;
+    if (options_.provenance) {
+      TIC_RETURN_NOT_OK(BuildExplanations(abs_t, w, entering, &verdict));
+    }
+  }
   verdict.num_instances = instances_.size();
   TIC_GAUGE_SET("monitor/instances", instances_.size());
   TIC_HISTOGRAM_RECORD("monitor/residual_size", verdict.residual_size);
-
-  if (conj->kind() == ptl::Kind::kFalse) {
-    dead_ = true;
-    verdict.permanently_violated = true;
-    verdict.potentially_satisfied = false;
-    if (options_.provenance) {
-      TIC_RETURN_NOT_OK(BuildExplanations(abs_t, w, conj, &verdict));
-    }
-  } else if (mode_ == MonitorMode::kLazy) {
-    // Lipeck–Saake-style weak monitoring: no satisfiability check; report
-    // "no violation detected yet".
-    verdict.potentially_satisfied = true;
-  } else {
-    TIC_SPAN("monitor.sat_check");
-    TIC_ASSIGN_OR_RETURN(ptl::SatResult sat,
-                         ptl::CheckSat(prop_factory_.get(), conj, options_.tableau));
-    // CheckSat stats are per-call; fold them into the lifetime totals here.
-    verdict.tableau_stats = sat.stats;
-    cumulative_tableau_stats_ += sat.stats;
-    verdict.potentially_satisfied = sat.satisfiable;
-    if (!sat.satisfiable) {
-      dead_ = true;
-      verdict.permanently_violated = true;
-      if (options_.provenance) {
-        TIC_RETURN_NOT_OK(BuildExplanations(abs_t, w, conj, &verdict));
-      }
-    }
-  }
   verdict.cumulative_tableau_stats = cumulative_tableau_stats_;
   if (options_.tableau.verdict_cache != nullptr) {
     verdict.verdict_cache_stats = options_.tableau.verdict_cache->stats();
+  }
+  if (options_.automaton_cache != nullptr) {
+    verdict.automaton_cache_stats = options_.automaton_cache->stats();
   }
   NoteVerdict(verdict);
   last_verdict_ = verdict;
@@ -1780,7 +1518,7 @@ Result<Diagnosis> Monitor::DiagnoseInstance(uint32_t idx, size_t t,
 }
 
 Status Monitor::BuildExplanations(size_t t, const ptl::PropState& w,
-                                  ptl::Formula joint_residual,
+                                  ptl::Formula entering,
                                   MonitorVerdict* verdict) {
   TIC_SPAN("monitor.provenance");
   explanations_ = std::make_shared<std::vector<Diagnosis>>();
@@ -1788,53 +1526,34 @@ Status Monitor::BuildExplanations(size_t t, const ptl::PropState& w,
 
   std::vector<uint32_t> culprits;
   if (!dead_scratch_.empty()) {
-    // Cohort death: CohortStepAll identified the dead slots exactly.
+    // Cohort or point-algebra death: the engines identified the dead
+    // instances exactly.
     culprits = dead_scratch_;
     num_culprits_ = dead_total_;
   } else {
-    // Formulas that literally collapsed to false: the progression
-    // backend's running residuals, else a basis that is false itself.
-    for (uint32_t i = 0; i < instances_.size(); ++i) {
-      ptl::Formula f = i < running_residuals_.size() ? running_residuals_[i]
-                                                     : instances_[i].residual;
-      if (f->kind() == ptl::Kind::kFalse) culprits.push_back(i);
+    // Progression death: the members whose running residual literally
+    // collapsed to false, else those whose residual alone is unsatisfiable
+    // (capped CheckSat probes, memoized per distinct residual).
+    for (size_t p = 0; p < running_residuals_.size(); ++p) {
+      if (running_residuals_[p]->kind() == ptl::Kind::kFalse) {
+        culprits.push_back(prog_members_[p]);
+      }
     }
-    // Automaton joint path (no per-instance state) or an unsat-but-not-false
-    // conjunction: replay each instance's basis through the stored word —
-    // capped, memoized per distinct basis — looking for individually false
-    // (then unsat) residuals.
     if (culprits.empty()) {
-      std::unordered_map<ptl::Formula, ptl::Formula> final_of;
-      std::vector<std::pair<uint32_t, ptl::Formula>> finals;
-      for (uint32_t i = 0;
-           i < instances_.size() && final_of.size() < kMaxReplayInstances;
-           ++i) {
-        ptl::Formula basis = instances_[i].residual;
-        auto it = final_of.find(basis);
-        if (it == final_of.end()) {
-          TIC_ASSIGN_OR_RETURN(ptl::Formula fin, ProgressThroughWord(basis));
-          it = final_of.emplace(basis, fin).first;
+      std::unordered_map<ptl::Formula, bool> live_memo;
+      size_t probes = 0;
+      for (size_t p = 0; p < running_residuals_.size(); ++p) {
+        ptl::Formula r = running_residuals_[p];
+        auto it = live_memo.find(r);
+        if (it == live_memo.end()) {
+          if (probes >= kMaxSatProbes) continue;
+          ++probes;
+          TIC_ASSIGN_OR_RETURN(
+              ptl::SatResult sat,
+              ptl::CheckSat(prop_factory_.get(), r, options_.tableau));
+          it = live_memo.emplace(r, sat.satisfiable).first;
         }
-        finals.emplace_back(i, it->second);
-      }
-      for (const auto& [i, fin] : finals) {
-        if (fin->kind() == ptl::Kind::kFalse) culprits.push_back(i);
-      }
-      if (culprits.empty()) {
-        std::unordered_map<ptl::Formula, int> live_memo;
-        size_t probes = 0;
-        for (const auto& [i, fin] : finals) {
-          auto lt = live_memo.find(fin);
-          if (lt == live_memo.end()) {
-            if (probes >= kMaxSatProbes) continue;
-            ++probes;
-            TIC_ASSIGN_OR_RETURN(
-                ptl::SatResult sat,
-                ptl::CheckSat(prop_factory_.get(), fin, options_.tableau));
-            lt = live_memo.emplace(fin, sat.satisfiable ? 1 : 0).first;
-          }
-          if (lt->second == 0) culprits.push_back(i);
-        }
+        if (!it->second) culprits.push_back(prog_members_[p]);
       }
     }
     num_culprits_ = culprits.size();
@@ -1843,18 +1562,23 @@ Status Monitor::BuildExplanations(size_t t, const ptl::PropState& w,
   if (culprits.empty()) {
     // No single instance explains the violation: shared letters made the
     // CONJUNCTION unsatisfiable while every conjunct stayed individually
-    // live. Emit one joint diagnosis.
+    // live. Emit one joint diagnosis over the instances on progression; the
+    // conjunction entering the fatal letter is the previous update's, or
+    // their checkpoint formulas' when members joined since.
     Diagnosis d;
     d.time = t;
     d.joint = true;
     d.factory = prop_factory_;
-    d.grounded = joint_;
-    d.residual = joint_residual;
-    if (backend_ == MonitorBackend::kAutomaton && joint_ != nullptr &&
-        auto_prev_ < auto_states_.size()) {
-      d.last_live = auto_states_[auto_prev_].residual;
+    std::unordered_set<ptl::Formula> distinct;
+    std::vector<ptl::Formula> bases;
+    for (uint32_t i : prog_members_) {
+      ptl::Formula basis = instances_[i].residual;
+      if (distinct.insert(basis).second) bases.push_back(basis);
     }
-    if (d.last_live != nullptr && d.last_live->kind() != ptl::Kind::kFalse) {
+    d.grounded = prop_factory_->AndAll(bases);
+    d.residual = conj_;
+    d.last_live = entering != nullptr ? entering : d.grounded;
+    if (d.last_live->kind() != ptl::Kind::kFalse) {
       TIC_ASSIGN_OR_RETURN(
           ptl::CollapseExplanation ce,
           ptl::ExplainCollapse(prop_factory_.get(), d.last_live, w));

@@ -36,10 +36,9 @@ struct MonitorVerdict {
   bool permanently_violated = false;
   uint64_t residual_size = 0;
   size_t num_instances = 0;
-  /// Distinct residual formulas progressed this update. Instances over
-  /// symmetric elements share a hash-consed residual, so
-  /// `num_instances - num_residual_classes` progression calls were saved by
-  /// deduplication.
+  /// Distinct running residuals of the instances on progression after this
+  /// update, plus one per cohort. Instances over symmetric elements share a
+  /// hash-consed residual, and progression rewrites each class once.
   size_t num_residual_classes = 0;
   /// Tableau size counters of *this update's* satisfiability check alone
   /// (zero on the lazy path and once the monitor is dead — no check runs).
@@ -52,10 +51,11 @@ struct MonitorVerdict {
   ptl::VerdictCacheStats verdict_cache_stats;
   /// Backend that produced this verdict (kAutomaton only in kEager mode).
   MonitorBackend backend = MonitorBackend::kProgression;
-  /// Lifetime counters of the residual-graph automaton driving this monitor
-  /// (zero on the progression backend): states = distinct residuals reached,
-  /// live_queries = tableau runs (one per state, ever). `memo_hits / steps`
-  /// is the transition-cache hit rate; in steady state it approaches 1.
+  /// Lifetime counters of the cohort transition systems (zero on the
+  /// progression backend and for monitors without cohorts), summed over
+  /// cohorts: states and state sets discovered, live_queries = liveness
+  /// decisions, steps = slots advanced, memo_hits = slots answered by the
+  /// dense cell table. `memo_hits / steps` approaches 1 in steady state.
   ptl::TransitionSystemStats automaton_stats;
   /// Cumulative counters of the shared compiled-automaton cache, when one was
   /// injected through CheckOptions (batch/trigger-level sharing).
@@ -64,13 +64,13 @@ struct MonitorVerdict {
   /// instances stepped through them in structure-of-arrays form. A slot is
   /// either letter-disjoint from every other instance or a member of an
   /// atom-sharing component that lies wholly in the release fragment. Other
-  /// atom-sharing instances step through the point-algebra engine or the
-  /// joint residual graph and are not counted here.
+  /// atom-sharing instances step through the point-algebra engine or on
+  /// progression and are not counted here.
   size_t num_cohorts = 0;
   size_t num_cohort_instances = 0;
   /// Instances the automaton backend stepped through the point-algebra
   /// engine this update: watched-literal clause evaluation instead of
-  /// residual-graph transitions.
+  /// automaton transitions.
   size_t num_pointalg_instances = 0;
   /// Verdict provenance (CheckOptions::provenance): populated on the update
   /// that flips the monitor to permanently violated, then re-attached to
@@ -152,7 +152,11 @@ class Monitor {
   // into equivalence classes by hash-consed identity, one representative per
   // class is progressed (in parallel when a thread pool is configured), and
   // the results are fanned back out to running_residuals_.
-  Status ProgressAll(const ptl::PropState& w, size_t* num_classes);
+  Status ProgressAll(const ptl::PropState& w);
+  // Gives every member of the progression set that has no running residual
+  // yet its basis progressed through the whole word (the current letter
+  // included), then re-partitions the classes.
+  Status CatchUp();
 
   // Grounds the matrix under `assignment` (kSimplified: equalities folded,
   // stand-in atoms false). Atoms mentioning a stand-in with index >=
@@ -193,12 +197,6 @@ class Monitor {
   // the letter with the destination code substituted (minting on demand).
   ptl::Formula RenameResidualCodes(
       ptl::Formula f, const std::unordered_map<Value, Value>& code_map);
-
-  // Automaton backend (kEager only): advances the joint residual graph
-  // through the new state, recompiling the joint formula and replaying the
-  // stored word first when its membership changed; returns its liveness.
-  Result<bool> AutomatonApply(bool joint_changed, const ptl::PropState& w,
-                              MonitorVerdict* verdict);
 
   ptl::Formula RenameLetters(ptl::Formula f,
                              const std::unordered_map<ptl::PropId, ptl::PropId>& map);
@@ -272,8 +270,8 @@ class Monitor {
   // the last checkpoint, in every backend: its grounding before the first
   // Compact(), then what Compact() rebased it to (or, for an instance created
   // after a fold, its z-pattern residual). Progressing it through word_ gives
-  // the formula now; each engine keeps that stepped state itself (automaton
-  // state ids, cohort slots, point-algebra units, running_residuals_).
+  // the formula now; each engine keeps that stepped state itself (cohort
+  // slots, point-algebra units, running_residuals_).
   struct Instance {
     std::vector<GroundElem> assignment;
     ptl::Formula residual;
@@ -314,7 +312,6 @@ class Monitor {
   // --- Verdict provenance (CheckOptions::provenance) ---
   static constexpr size_t kMaxExplanations = 8;   // diagnoses per flip
   static constexpr size_t kTrajectoryK = 8;       // trajectory tail length
-  static constexpr size_t kMaxReplayInstances = 64;  // culprit replay cap
   static constexpr size_t kMaxSatProbes = 8;      // culprit CheckSat cap
   // Letter flips of the CURRENT update (letter id, new value), captured in
   // the incremental letter loop and decoded to ground atoms only at a flip
@@ -337,13 +334,14 @@ class Monitor {
 #endif
 
   // Assembles MonitorVerdict provenance at the alive->dead flip: identifies
-  // culprit instances (cohort death bits, literal `false` residuals, else a
-  // capped per-instance replay of the stored word), builds one Diagnosis per
-  // culprit (capped), and falls back to a single joint Diagnosis when no
-  // individual instance explains the violation (shared-letter interaction).
-  // `joint_residual` is the residual the joint path died on (may be null).
+  // culprit instances (cohort and point-algebra death bits, else running
+  // residuals that are `false` or, by capped CheckSat probes,
+  // unsatisfiable), builds one Diagnosis per culprit (capped), and falls
+  // back to a single joint Diagnosis when no individual instance explains
+  // the violation (shared-letter interaction). `entering` is the previous
+  // update's conjunction, null when members joined since.
   Status BuildExplanations(size_t t, const ptl::PropState& w,
-                           ptl::Formula joint_residual, MonitorVerdict* verdict);
+                           ptl::Formula entering, MonitorVerdict* verdict);
   Result<Diagnosis> DiagnoseInstance(uint32_t idx, size_t t,
                                      const ptl::PropState& w);
   // Progresses `basis` (an instance's formula at the last checkpoint)
@@ -358,67 +356,39 @@ class Monitor {
   // Records a kVerdictChange flight-recorder event on every edge.
   void NoteVerdict(const MonitorVerdict& v);
 
-  // --- Automaton backend state (kEager + MonitorBackend::kAutomaton) ---
-  // The monitor runs the *residual-graph automaton* of the joint conjunction
-  // of the instances' checkpoint formulas: each distinct residual the history
-  // can reach is one state (hash-consed formula identity), liveness is
-  // decided once per state (CheckSat through the shared verdict cache, not
-  // per update), and a transition is a memoized `(state id, letter
-  // signature) -> state id` lookup. Recurring database states — the common
-  // steady case — never rewrite a formula or run a tableau again.
-  //
-  // Why residuals and not determinized closure-state sets: the joint cover
-  // of N grounded instances is the consistency-pruned *product* of the
-  // per-instance covers (exponential in N — the FIFO constraint over a
-  // handful of orders already exceeds any expansion budget), while the
-  // residual graph only materializes states the actual history visits.
-  // The closure-bitset ptl::TransitionSystem covers the single-pattern
-  // cases (batch checks, trigger substitution sweeps) where the cover is
-  // small and renaming-sharing pays off.
-  //
-  // Fresh elements change the joint formula: their arrival starts a new
-  // epoch (graph reset) and replays `word_`, one transition per past state.
   MonitorBackend backend_ = MonitorBackend::kProgression;  // effective backend
-  ptl::Formula joint_ = nullptr;       // joint formula of the current epoch
-  size_t num_joint_classes_ = 0;       // distinct grounded originals in joint_
-  struct AutoState {
-    ptl::Formula residual;
-    int8_t live;  // -1 unknown, 0 dead, 1 live — decided lazily, then cached
-  };
-  std::vector<AutoState> auto_states_;
-  flat::FlatMap<ptl::Formula, uint32_t> auto_state_ids_;
-  std::vector<ptl::PropId> auto_alphabet_;  // atoms of joint_, stable order
-  flat::FlatMap<std::string, uint32_t> auto_sigs_;  // packed letter bits
-  flat::FlatMap<uint64_t, uint32_t> auto_memo_;  // (state, sig) -> state
-  uint32_t auto_current_ = 0;
-  uint32_t auto_prev_ = 0;  // state entering the latest step (provenance)
-  uint64_t auto_steps_ = 0;
-  uint64_t auto_memo_hits_ = 0;
-  uint64_t auto_live_queries_ = 0;  // CheckSat calls (state interns)
-  std::string sig_scratch_;
   // Per-update scratch, cleared (buckets kept warm) instead of re-allocated.
   flat::FlatSet<Value> active_scratch_;  // this state's active domain
-  flat::FlatMap<ptl::Formula, size_t> class_of_scratch_;  // ProgressAll classes
+  flat::FlatMap<ptl::Formula, size_t> class_of_scratch_;  // class partitions
 
-  // --- Progression backend state (MonitorBackend::kProgression) ---
-  // Running residuals, one per instance: the instance's checkpoint formula
-  // progressed through word_. Instances past the end of the table (the
-  // initial set, fresh ones, all of them after a restore) are caught up by
-  // replaying the word from their basis on the next update. Compact() leaves
-  // the table alone — a fold changes the basis and the word, not "now".
+  // --- Progression (Lemma 4.2 taken literally) ---
+  // The progression set: every instance on the progression backend, and on
+  // the automaton backend the instances ComponentRule places on progression
+  // (atom-sharing components outside the fragments, compile fallbacks).
+  // Ascending instance indices; running_residuals_[p] is member p's
+  // checkpoint formula progressed through word_, its formula now. Members
+  // past the end of running_residuals_ (placed this update, every member
+  // after a rebuild or a restore) are caught up from their bases. A
+  // rebuild of the placements recomputes the set; Compact() on the
+  // progression backend leaves it alone — a fold changes the basis and the
+  // word, not "now".
+  std::vector<uint32_t> prog_members_;
   std::vector<ptl::Formula> running_residuals_;
-  // ProgressAll's persistent residual equivalence classes: maintained across
-  // updates instead of being rebuilt from formula identity every transaction.
-  // Progression is a function of the residual alone, so class membership only
-  // changes when (a) two classes' progressed residuals collide — merged
-  // in-place after each update — or (b) running residuals are added, which
-  // invalidates the partition wholesale (progress_classes_instances_ guards).
+  // ProgressAll's persistent residual equivalence classes over positions in
+  // running_residuals_: maintained across updates instead of being rebuilt
+  // from formula identity every transaction. Progression is a function of
+  // the residual alone, so class membership only changes when (a) two
+  // classes' progressed residuals collide — merged in place after each
+  // update — or (b) CatchUp adds residuals, which re-partitions wholesale.
   struct ProgressClass {
     ptl::Formula residual;
-    std::vector<uint32_t> members;  // instance indices
+    std::vector<uint32_t> members;  // positions in running_residuals_
   };
   std::vector<ProgressClass> progress_classes_;
-  size_t progress_classes_instances_ = 0;  // running_residuals_.size() when built
+  // Conjunction of the running residuals at the latest update that had an
+  // instance on progression: the residual a joint diagnosis explains, and on
+  // the next update (same members) the one entering its letter.
+  ptl::Formula conj_ = nullptr;
 
   // --- Cohort lockstep state (kAutomaton) ---
   // Instances whose residuals share no ground atoms (union-find over PropIds)
@@ -439,17 +409,16 @@ class Monitor {
   // member of their letter-connected component is in the release fragment
   // (TransitionSystem::release_fragment): after the current
   // letter L every live member is satisfied by L^omega, so the component is
-  // live iff every slot is, with no joint automaton and no tableau. The
-  // remaining atom-sharing components keep the exact joint residual-graph
-  // path below. One rule places every component (ComponentRule).
+  // live iff every slot is, with no tableau. The remaining atom-sharing
+  // components step on progression. One rule places every component
+  // (ComponentRule).
   enum class Placement : uint8_t {
-    kJoint,     // steps through the joint residual graph (shares atoms outside
-                // the release fragment, or compile fell back: budget blowup,
-                // false residual)
-    kCohort,    // letter-disjoint or release-fragment, stepped in SoA lockstep
-    kInert,     // residual is `true`: never violated, nothing to step
-    kPointAlg,  // point-algebra fragment: stepped by the watched-literal
-                // PointBackend, no automaton at all
+    kProgression,  // running residual (shares atoms outside the fragments,
+                   // or compile fell back: budget blowup, false residual)
+    kCohort,       // letter-disjoint or release-fragment, SoA lockstep
+    kInert,        // residual is `true`: never violated, nothing to step
+    kPointAlg,     // point-algebra fragment: stepped by the watched-literal
+                   // PointBackend, no automaton at all
   };
   struct Cohort {
     std::shared_ptr<ptl::TransitionSystem> ts;
@@ -485,9 +454,8 @@ class Monitor {
   static constexpr uint32_t kCellUndiscovered = 0xFFFFFFFFu;
   std::vector<Cohort> cohorts_;
   flat::FlatMap<const void*, uint32_t> cohort_by_ts_;  // TS ptr -> cohort idx
-  std::vector<Placement> placement_;  // per instance; empty = not placed yet
-  bool cohorts_built_ = false;
-  size_t num_joint_ = 0;         // instances with Placement::kJoint
+  // Per instance; empty = not placed yet (the next update rebuilds).
+  std::vector<Placement> placement_;
   size_t num_cohort_slots_ = 0;  // instances with Placement::kCohort
   // Letter watch lists: PropId -> packed (cohort << 32 | slot) of the one
   // slot watching it — a letter-disjoint slot's letters have exactly one
@@ -546,29 +514,30 @@ class Monitor {
   void DsuUnion(uint32_t a, uint32_t b);
   // The one placement rule, per letter-connected component: point-algebra if
   // every member matches, else a cohort slot per member if the component is a
-  // singleton or wholly in the release fragment, else the joint residual
-  // graph.
+  // singleton or wholly in the release fragment, else progression.
   Placement ComponentRule(uint32_t root) const;
   // Distinct residual atoms of `f` into atoms_scratch_ (explicit stack).
   void AtomsOf(ptl::Formula f);
-  // Places instances [first_new, instances_.size()): extends the union-find
-  // and places each fresh instance by its component's rule, appending cohort
-  // slots (replaying word_ minus the current state) and point-algebra
-  // instances without touching placed ones. A merge that would move a placed
-  // instance rebuilds all placements from scratch. Returns true when joint
-  // membership changed (epoch reset needed).
-  Result<bool> PlaceInstances(size_t first_new);
+  // Places the instances not placed yet: extends the union-find and places
+  // each by its component's rule, appending cohort slots (replaying word_
+  // minus the current state), point-algebra instances and progression
+  // members without touching placed ones. A merge that would move a placed
+  // instance, or placements dropped (first update, Compact, restore),
+  // rebuilds all placements from scratch. On the progression backend it
+  // only appends the new instances to the progression set.
+  Status PlaceInstances();
   // PlaceInstances' body over [first, instances_.size()); false, with
   // nothing placed, when a placed instance would have to move.
   Result<bool> PlaceRange(size_t first);
   // Appends instance idx to its shape's cohort through its compiled handle
-  // (kInert for a `true` residual, kJoint for `false` or a failed compile,
-  // whose handle has a null `ts`).
+  // (kInert for a `true` residual, kProgression for `false` or a failed
+  // compile, whose handle has a null `ts`).
   Result<Placement> PlaceOne(uint32_t idx, const ptl::AutomatonHandle& h);
+  // Drops every placement and the progression set, then places all
+  // instances.
   Status RebuildPlacements();
-  // Drop the joint residual graph (a new epoch) / every placement table (the
-  // next update re-places all instances). Capacity is kept.
-  void ResetJoint();
+  // Drops every placement table, so the next update re-places all
+  // instances. Capacity is kept.
   void ResetPlacements();
   // Advances every cohort through `w`; *all_live = AND of per-slot liveness.
   Status CohortStepAll(const ptl::PropState& w, MonitorVerdict* verdict,
@@ -579,17 +548,6 @@ class Monitor {
                               bool* discovered);
   void EnsureCohortTable(Cohort* ch, uint32_t rows_needed, uint32_t cols_needed);
 
-  // Interns `f` as an automaton state (no tableau work).
-  uint32_t AutoIntern(ptl::Formula f);
-  // Liveness of state `sid`, decided by one CheckSat on first query and
-  // cached forever after. Lazy on purpose: epoch replay passes through
-  // intermediate states whose liveness is never reported, and running the
-  // tableau there would be work the progression backend never does.
-  Result<bool> AutoLive(uint32_t sid, MonitorVerdict* verdict);
-  // One memoized transition; on miss, progresses and interns the successor.
-  Result<uint32_t> AutoStep(uint32_t sid, const ptl::PropState& w);
-  // Letter-signature id of `w` over the epoch alphabet.
-  uint32_t SigOf(const ptl::PropState& w);
 };
 
 }  // namespace checker

@@ -3,119 +3,6 @@
 #include <cassert>
 
 namespace tic {
-namespace pa {
-
-namespace {
-
-// Base composition table over the atoms, indexed by bit position
-// (0 = <, 1 = =, 2 = >). The only non-singleton compositions are
-// < ; > and > ; <, which say nothing.
-constexpr Rel kBaseCompose[3][3] = {
-    {kLt, kLt, kAll},
-    {kLt, kEq, kGt},
-    {kAll, kGt, kGt},
-};
-
-}  // namespace
-
-Rel Compose(Rel a, Rel b) {
-  Rel r = kEmpty;
-  for (int i = 0; i < 3; ++i) {
-    if ((a & (1u << i)) == 0) continue;
-    for (int j = 0; j < 3; ++j) {
-      if ((b & (1u << j)) == 0) continue;
-      r |= kBaseCompose[i][j];
-    }
-  }
-  return r;
-}
-
-const char* RelName(Rel r) {
-  static const char* kNames[8] = {"empty", "<",  "=",  "<=",
-                                  ">",     "!=", ">=", "any"};
-  return kNames[r & kAll];
-}
-
-Rel Network::RelationBetween(uint32_t i, uint32_t j) const {
-  if (i == j) return kEq;
-  const Rel* e =
-      i < j ? edges_.Get(Key(i, j)) : edges_.Get(Key(j, i));
-  if (e == nullptr) return kAll;
-  return i < j ? *e : Converse(*e);
-}
-
-void Network::Tighten(uint32_t a, uint32_t b, Rel r) {
-  if (!consistent_) return;
-  if (a == b) {
-    // The diagonal is fixed at =; a constraint excluding it is a
-    // contradiction on the spot.
-    if ((r & kEq) == 0) consistent_ = false;
-    return;
-  }
-  if (r == kAll) return;  // universal edges carry no information
-  if (a > b) {
-    std::swap(a, b);
-    r = Converse(r);
-  }
-  const uint64_t key = Key(a, b);
-  auto [entry, inserted] = edges_.Emplace(key, kAll);
-  if (inserted) {
-    nbrs_[a].push_back(b);
-    nbrs_[b].push_back(a);
-  }
-  const Rel next = entry->second & r;
-  if (next == entry->second) return;
-  entry->second = next;
-  ++propagations_;
-  if (next == kEmpty) {
-    consistent_ = false;
-    worklist_.clear();
-    return;
-  }
-  worklist_.push_back(key);
-}
-
-void Network::Propagate() {
-  while (!worklist_.empty() && consistent_) {
-    const uint64_t key = worklist_.back();
-    worklist_.pop_back();
-    const uint32_t a = static_cast<uint32_t>(key >> 32);
-    const uint32_t b = static_cast<uint32_t>(key);
-    const Rel rab = RelationBetween(a, b);
-    // Snapshot sizes: Tighten may append fill-edge neighbors, which get
-    // their own worklist entries.
-    const size_t nb = nbrs_[b].size();
-    for (size_t k = 0; k < nb && consistent_; ++k) {
-      const uint32_t c = nbrs_[b][k];
-      if (c == a) continue;
-      Tighten(a, c, Compose(rab, RelationBetween(b, c)));
-    }
-    const size_t na = nbrs_[a].size();
-    for (size_t k = 0; k < na && consistent_; ++k) {
-      const uint32_t c = nbrs_[a][k];
-      if (c == b) continue;
-      Tighten(c, b, Compose(RelationBetween(c, a), rab));
-    }
-  }
-}
-
-bool Network::Constrain(uint32_t i, uint32_t j, Rel r) {
-  assert(i < nbrs_.size() && j < nbrs_.size());
-  if (!consistent_) return false;
-  Tighten(i, j, r);
-  Propagate();
-  return consistent_;
-}
-
-void Network::Reset() {
-  nbrs_.clear();
-  edges_.Clear();
-  worklist_.clear();
-  consistent_ = true;
-  propagations_ = 0;
-}
-
-}  // namespace pa
 
 const ptl::PaShape* PointBackend::ShapeOf(ptl::Formula f) {
   if (const ptl::PaShape* const* hit = shape_cache_.Get(f)) return *hit;

@@ -1,33 +1,17 @@
 #ifndef TIC_CHECKER_POINTALG_H_
 #define TIC_CHECKER_POINTALG_H_
 
-/// The tractable-fragment router's point-algebra backend, in two layers.
-///
-/// 1. `pa::Network` — a qualitative temporal constraint network over points
-///    with relations drawn from the point algebra {<, =, >} and its unions.
-///    `Constrain` tightens one edge and restores path consistency
-///    incrementally, touching only edges reachable from the change (the
-///    Bodirsky–Kára / van Beek observation that order constraints admit
-///    low-polynomial incremental algorithms; path consistency decides
-///    consistency for the point algebra). Absent edges are implicitly the
-///    universal relation; fill edges are materialized only when a
-///    composition is informative, so the closure is exact while the graph
-///    stays sparse. This layer is the standalone QTCN API used by the
-///    generator in src/testing/ and by audits — it never produces monitor
-///    verdicts (a PC-inconsistent *preference* network can still be
-///    potentially satisfiable as a temporal formula).
-///
-/// 2. `PointBackend` — the monitor-side evaluator for grounded instances
-///    whose residual matches the ptl::PaShape fragment (ptl/fragment.h).
-///    Each unit keeps watched-literal counters against the monitor's shared
-///    current letter; a transaction feeds only the flipped letters
-///    (`OnFlip`), marks the owning units dirty, and `StepDirty` advances
-///    exactly those units — O(letters-flipped) per update and
-///    allocation-free once warmed (flat containers, epoch-stamped dirty
-///    list). Verdicts are exact for the fragment: a unit set with no
-///    falsified active clause is satisfiable by repeating the current
-///    letter forever, so eager potential satisfaction reduces to clause
-///    falsification (see ptl/fragment.h).
+/// The point-algebra backend: the monitor-side evaluator for grounded
+/// instances whose residual matches the ptl::PaShape fragment
+/// (ptl/fragment.h). Each unit keeps watched-literal counters against the
+/// monitor's shared current letter; a transaction feeds only the flipped
+/// letters (`OnFlip`), marks the owning units dirty, and `StepDirty`
+/// advances exactly those units — O(letters-flipped) per update and
+/// allocation-free once warmed (flat containers, epoch-stamped dirty list).
+/// Verdicts are exact for the fragment: a unit set with no falsified active
+/// clause is satisfiable by repeating the current letter forever, so eager
+/// potential satisfaction reduces to clause falsification (see
+/// ptl/fragment.h).
 
 #include <cstdint>
 #include <memory>
@@ -39,75 +23,9 @@
 #include "ptl/word.h"
 
 namespace tic {
-namespace pa {
 
-/// A point-algebra relation: a bitmask over {<, =, >}.
-using Rel = uint8_t;
-inline constexpr Rel kEmpty = 0;
-inline constexpr Rel kLt = 1;
-inline constexpr Rel kEq = 2;
-inline constexpr Rel kLeq = 3;
-inline constexpr Rel kGt = 4;
-inline constexpr Rel kNeq = 5;
-inline constexpr Rel kGeq = 6;
-inline constexpr Rel kAll = 7;
-
-/// Weak composition a ; b (exact for the point algebra).
-Rel Compose(Rel a, Rel b);
-
-/// The converse relation (swap < and >).
-inline Rel Converse(Rel r) {
-  return static_cast<Rel>(((r & kLt) << 2) | (r & kEq) | ((r & kGt) >> 2));
-}
-
-/// Human-readable name ("<", "<=", "!=", ...).
-const char* RelName(Rel r);
-
-/// Incremental path-consistent point network. Points are dense ids from
-/// AddPoint; edges live in a flat map keyed by the canonical (lo, hi) pair
-/// with per-point neighbor lists for propagation. Steady-state re-tightening
-/// of existing edges allocates nothing; only first-time fill edges insert.
-class Network {
- public:
-  uint32_t AddPoint() {
-    nbrs_.emplace_back();
-    return static_cast<uint32_t>(nbrs_.size() - 1);
-  }
-
-  /// Intersects edge (i, j) with r and restores path consistency.
-  /// Returns consistent(): false once any edge becomes empty (sticky).
-  bool Constrain(uint32_t i, uint32_t j, Rel r);
-
-  /// The closed relation between two points (kEq on the diagonal, kAll when
-  /// unconstrained).
-  Rel RelationBetween(uint32_t i, uint32_t j) const;
-
-  bool consistent() const { return consistent_; }
-  size_t num_points() const { return nbrs_.size(); }
-  size_t num_edges() const { return edges_.size(); }
-  /// Edge tightenings performed, including propagated ones.
-  uint64_t propagations() const { return propagations_; }
-
-  void Reset();
-
- private:
-  static uint64_t Key(uint32_t lo, uint32_t hi) {
-    return (static_cast<uint64_t>(lo) << 32) | hi;
-  }
-  void Tighten(uint32_t a, uint32_t b, Rel r);
-  void Propagate();
-
-  std::vector<flat::SmallVec<uint32_t, 6>> nbrs_;
-  flat::FlatMap<uint64_t, Rel> edges_;  // canonical lo < hi, rel lo -> hi
-  std::vector<uint64_t> worklist_;      // canonical keys with pending deltas
-  bool consistent_ = true;
-  uint64_t propagations_ = 0;
-};
-
-}  // namespace pa
-
-/// Monitor backend for PA-fragment instances (layer 2 above). The monitor
-/// owns the call order per transaction:
+/// Monitor backend for PA-fragment instances. The monitor owns the call
+/// order per transaction:
 ///   - OnFlip for every changed letter of the shared current state,
 ///   - BeginInstance + StepInstanceOn replay for instances grounded this
 ///     transaction (the final StepInstanceOn letter must equal the current

@@ -51,12 +51,15 @@ enum class EventType : uint32_t {
   kLetterFlip,        // a = PropId, b = new value, c = cohort<<32|slot (~0 none);
                       // a letter watched by several slots (an atom-sharing
                       // release cohort) logs only its first watcher
-  kCohortRebuild,     // a = cohort count, b = cohort slots, c = joint instances
+  kCohortRebuild,     // a = cohort count, b = cohort slots, c = instances on
+                      // progression
   kCohortMinimize,    // a = collapsed sets, b = sets after, c = cohort index
-  kEpochReset,        // a = time t, b = instance count, c = stored word runs
+  kEpochReset,        // Compact(): a = checkpoint time, b = instance count,
+                      // c = stored word runs (0: the fold clears the word)
   kAutomatonCompile,  // a = closure size, b = letter count, c = state sets
   kVerdictChange,     // a = time t, b = potentially-satisfied 0/1, c = instances
-  kMemoSpill,         // a = new state id, b = memo size, c = letter signature id
+  kMemoSpill,         // a = new state id, b = memo size, c = letter signature
+                      // id (no monitor path emits it)
   kWatchdogFire,      // a = open-update elapsed ns, b = deadline ms, c = op seq
   kRouteDecision,     // a = backend (1 pointalg, 2 past, 3 release,
                       // 0 automaton), b = instances routed (release: slots

@@ -4,7 +4,7 @@
 /// Syntactic witness extraction for the point-algebra / order-constraint
 /// fragment of grounded safety residuals — the "cheap" fragment the
 /// tractable-fragment router (checker/pointalg.*) evaluates without ever
-/// touching the tableau or the residual-graph automaton.
+/// touching the tableau or progression.
 ///
 /// A grounded PTL formula lies in the fragment when it is a conjunction of
 /// *units*, each of one of these shapes (a, r conjunctions of literals, c a

@@ -1,5 +1,6 @@
 #include "testing/generators.h"
 
+#include <functional>
 #include <string>
 
 namespace tic {
@@ -18,31 +19,34 @@ std::vector<ptl::Formula> PtlAtoms(ptl::Factory* fac, size_t n) {
 ptl::Formula GeneratePtlFormula(ptl::Factory* fac, Entropy* ent,
                                 const std::vector<ptl::Formula>& atoms,
                                 int depth) {
+  // Draws in statement order, the right operand first (CaseBuilder::Binary).
+  auto sub = [&] { return GeneratePtlFormula(fac, ent, atoms, depth - 1); };
+  auto binary = [&](ptl::Formula (ptl::Factory::*op)(ptl::Formula, ptl::Formula)) {
+    ptl::Formula rhs = sub();
+    ptl::Formula lhs = sub();
+    return (fac->*op)(lhs, rhs);
+  };
   switch (ent->Pick(0, depth <= 0 ? 1 : 9)) {
     case 0:
       return atoms[ent->Below(static_cast<uint32_t>(atoms.size()))];
     case 1:
       return fac->Not(atoms[ent->Below(static_cast<uint32_t>(atoms.size()))]);
     case 2:
-      return fac->Not(GeneratePtlFormula(fac, ent, atoms, depth - 1));
+      return fac->Not(sub());
     case 3:
-      return fac->And(GeneratePtlFormula(fac, ent, atoms, depth - 1),
-                      GeneratePtlFormula(fac, ent, atoms, depth - 1));
+      return binary(&ptl::Factory::And);
     case 4:
-      return fac->Or(GeneratePtlFormula(fac, ent, atoms, depth - 1),
-                     GeneratePtlFormula(fac, ent, atoms, depth - 1));
+      return binary(&ptl::Factory::Or);
     case 5:
-      return fac->Next(GeneratePtlFormula(fac, ent, atoms, depth - 1));
+      return fac->Next(sub());
     case 6:
-      return fac->Until(GeneratePtlFormula(fac, ent, atoms, depth - 1),
-                        GeneratePtlFormula(fac, ent, atoms, depth - 1));
+      return binary(&ptl::Factory::Until);
     case 7:
-      return fac->Release(GeneratePtlFormula(fac, ent, atoms, depth - 1),
-                          GeneratePtlFormula(fac, ent, atoms, depth - 1));
+      return binary(&ptl::Factory::Release);
     case 8:
-      return fac->Eventually(GeneratePtlFormula(fac, ent, atoms, depth - 1));
+      return fac->Eventually(sub());
     default:
-      return fac->Always(GeneratePtlFormula(fac, ent, atoms, depth - 1));
+      return fac->Always(sub());
   }
 }
 
@@ -60,10 +64,22 @@ fotl::Term CaseBuilder::Var(size_t i) {
   return fotl::Term::Var(factory_->InternVar(i == 0 ? "x" : "y"));
 }
 
+fotl::Formula CaseBuilder::Atom(Entropy* ent, size_t num_vars) {
+  uint32_t var = ent->Below(static_cast<uint32_t>(num_vars));
+  uint32_t pred = ent->Below(static_cast<uint32_t>(preds_.size()));
+  return *factory_->Atom(preds_[pred], {Var(var)});
+}
+
+fotl::Formula CaseBuilder::Binary(
+    fotl::Formula (fotl::FormulaFactory::*op)(fotl::Formula, fotl::Formula),
+    const std::function<fotl::Formula()>& draw) {
+  fotl::Formula rhs = draw();
+  fotl::Formula lhs = draw();
+  return (factory_.get()->*op)(lhs, rhs);
+}
+
 fotl::Formula CaseBuilder::Lit(Entropy* ent, size_t num_vars) {
-  fotl::Formula a =
-      *factory_->Atom(preds_[ent->Below(static_cast<uint32_t>(preds_.size()))],
-                      {Var(ent->Below(static_cast<uint32_t>(num_vars)))});
+  fotl::Formula a = Atom(ent, num_vars);
   return ent->Below(2) == 0 ? a : factory_->Not(a);
 }
 
@@ -73,45 +89,40 @@ fotl::Formula CaseBuilder::LitConj(Entropy* ent, size_t num_vars) {
 }
 
 fotl::Formula CaseBuilder::GenCosafe(Entropy* ent, size_t num_vars, int depth) {
-  if (depth <= 0) {
-    return *factory_->Atom(preds_[ent->Below(static_cast<uint32_t>(preds_.size()))],
-                           {Var(ent->Below(static_cast<uint32_t>(num_vars)))});
-  }
+  if (depth <= 0) return Atom(ent, num_vars);
+  auto sub = [&] { return GenCosafe(ent, num_vars, depth - 1); };
   switch (ent->Below(5)) {
     case 0:
-      return factory_->And(GenCosafe(ent, num_vars, depth - 1),
-                           GenCosafe(ent, num_vars, depth - 1));
+      return Binary(&fotl::FormulaFactory::And, sub);
     case 1:
-      return factory_->Or(GenCosafe(ent, num_vars, depth - 1),
-                          GenCosafe(ent, num_vars, depth - 1));
+      return Binary(&fotl::FormulaFactory::Or, sub);
     case 2:
-      return factory_->Next(GenCosafe(ent, num_vars, depth - 1));
+      return factory_->Next(sub());
     case 3:
-      return factory_->Until(GenCosafe(ent, num_vars, depth - 1),
-                             GenCosafe(ent, num_vars, depth - 1));
+      return Binary(&fotl::FormulaFactory::Until, sub);
     default:
-      return factory_->Eventually(GenCosafe(ent, num_vars, depth - 1));
+      return factory_->Eventually(sub());
   }
 }
 
 fotl::Formula CaseBuilder::GenSafe(Entropy* ent, size_t num_vars, int depth) {
   if (depth <= 0) return Lit(ent, num_vars);
+  auto sub = [&] { return GenSafe(ent, num_vars, depth - 1); };
   switch (ent->Below(7)) {
     case 0:
       return Lit(ent, num_vars);
     case 1:
-      return factory_->And(GenSafe(ent, num_vars, depth - 1),
-                           GenSafe(ent, num_vars, depth - 1));
+      return Binary(&fotl::FormulaFactory::And, sub);
     case 2:
-      return factory_->Or(GenSafe(ent, num_vars, depth - 1),
-                          GenSafe(ent, num_vars, depth - 1));
+      return Binary(&fotl::FormulaFactory::Or, sub);
     case 3:
-      return factory_->Next(GenSafe(ent, num_vars, depth - 1));
+      return factory_->Next(sub());
     case 4:
-      return factory_->Always(GenSafe(ent, num_vars, depth - 1));
-    case 5:
-      return factory_->Implies(LitConj(ent, num_vars),
-                               GenSafe(ent, num_vars, depth - 1));
+      return factory_->Always(sub());
+    case 5: {
+      fotl::Formula consequent = sub();
+      return factory_->Implies(LitConj(ent, num_vars), consequent);
+    }
     default:
       return factory_->Not(GenCosafe(ent, num_vars, depth - 1));
   }
@@ -119,41 +130,36 @@ fotl::Formula CaseBuilder::GenSafe(Entropy* ent, size_t num_vars, int depth) {
 
 fotl::Formula CaseBuilder::GenCoRelease(Entropy* ent, size_t num_vars,
                                         int depth) {
-  if (depth <= 0) {
-    return *factory_->Atom(preds_[ent->Below(static_cast<uint32_t>(preds_.size()))],
-                           {Var(ent->Below(static_cast<uint32_t>(num_vars)))});
-  }
+  if (depth <= 0) return Atom(ent, num_vars);
+  auto sub = [&] { return GenCoRelease(ent, num_vars, depth - 1); };
   switch (ent->Below(4)) {
     case 0:
-      return factory_->And(GenCoRelease(ent, num_vars, depth - 1),
-                           GenCoRelease(ent, num_vars, depth - 1));
+      return Binary(&fotl::FormulaFactory::And, sub);
     case 1:
-      return factory_->Or(GenCoRelease(ent, num_vars, depth - 1),
-                          GenCoRelease(ent, num_vars, depth - 1));
+      return Binary(&fotl::FormulaFactory::Or, sub);
     case 2:
-      return factory_->Until(GenCoRelease(ent, num_vars, depth - 1),
-                             GenCoRelease(ent, num_vars, depth - 1));
+      return Binary(&fotl::FormulaFactory::Until, sub);
     default:
-      return factory_->Eventually(GenCoRelease(ent, num_vars, depth - 1));
+      return factory_->Eventually(sub());
   }
 }
 
 fotl::Formula CaseBuilder::GenRelease(Entropy* ent, size_t num_vars, int depth) {
   if (depth <= 0) return Lit(ent, num_vars);
+  auto sub = [&] { return GenRelease(ent, num_vars, depth - 1); };
   switch (ent->Below(6)) {
     case 0:
       return Lit(ent, num_vars);
     case 1:
-      return factory_->And(GenRelease(ent, num_vars, depth - 1),
-                           GenRelease(ent, num_vars, depth - 1));
+      return Binary(&fotl::FormulaFactory::And, sub);
     case 2:
-      return factory_->Or(GenRelease(ent, num_vars, depth - 1),
-                          GenRelease(ent, num_vars, depth - 1));
+      return Binary(&fotl::FormulaFactory::Or, sub);
     case 3:
-      return factory_->Always(GenRelease(ent, num_vars, depth - 1));
-    case 4:
-      return factory_->Implies(LitConj(ent, num_vars),
-                               GenRelease(ent, num_vars, depth - 1));
+      return factory_->Always(sub());
+    case 4: {
+      fotl::Formula consequent = sub();
+      return factory_->Implies(LitConj(ent, num_vars), consequent);
+    }
     default:
       return factory_->Not(GenCoRelease(ent, num_vars, depth - 1));
   }

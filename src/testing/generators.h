@@ -1,6 +1,7 @@
 #ifndef TIC_TESTING_GENERATORS_H_
 #define TIC_TESTING_GENERATORS_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,6 +99,16 @@ class CaseBuilder {
                   std::vector<Transaction> stream) const;
 
  private:
+  // A random positive unary atom: variable drawn first, then predicate.
+  fotl::Formula Atom(Entropy* ent, size_t num_vars);
+  // op(lhs, rhs) of two `draw()`s, the right operand drawn first. Every
+  // grammar draws in statement order, never inside one call's argument
+  // list (whose evaluation order is unspecified), so a seed names the same
+  // case under every compiler.
+  fotl::Formula Binary(
+      fotl::Formula (fotl::FormulaFactory::*op)(fotl::Formula, fotl::Formula),
+      const std::function<fotl::Formula()>& draw);
+
   VocabularyPtr vocab_;
   std::shared_ptr<fotl::FormulaFactory> factory_;
   std::vector<PredicateId> preds_;
@@ -138,7 +149,7 @@ struct SafetyCaseOptions {
   /// Conjoins `x != y -> ((Pi(y) & Pj(x)) -> X Pk(x))` to the matrix, which
   /// links every pair of distinct real elements into one letter-connected
   /// component outside the release fragment: the automaton backend steps
-  /// such a case through the joint residual graph. \pre min_vars == 2
+  /// such a case on progression. \pre min_vars == 2
   bool next_anchor = false;
 };
 

@@ -107,7 +107,7 @@ Result<OracleResult> BackendVerdictsAgree(const FotlCase& c) {
 Result<OracleResult> CohortConfigsAgree(const FotlCase& c) {
   // Three independent constructions of the same per-update verdict sequence:
   // the literal progression procedure, and the automaton backend (cohort
-  // slots, point-algebra units and the joint residual graph, as placed) with
+  // slots, point-algebra units and progression, as placed) with
   // cohort minimization forced at every discovery and disabled.
   struct Config {
     const char* name;

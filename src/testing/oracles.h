@@ -34,15 +34,16 @@ struct OracleResult {
 Result<OracleResult> TableauEnginesAgree(ptl::Factory* fac, ptl::Formula f,
                                          bool* satisfiable = nullptr);
 
-/// \brief Monitor-backend equality: the automaton backend (memoized
-/// residual-graph transitions) must produce exactly the per-update verdicts
-/// of the literal Lemma 4.2 progression + CheckSat procedure.
+/// \brief Monitor-backend equality: the automaton backend (cohort slots,
+/// point-algebra units, progression for the rest) must produce exactly the
+/// per-update verdicts of the literal Lemma 4.2 progression + CheckSat
+/// procedure.
 Result<OracleResult> BackendVerdictsAgree(const FotlCase& c);
 
 /// \brief Cohort-configuration equality: the automaton backend — cohort
 /// lockstep slots (SoA states, dense-table gather stepping) for the
-/// components its placement rule sends there, the joint residual graph for
-/// the rest — with offline minimization forced (interval 1) and disabled
+/// components its placement rule sends there, progression for the rest —
+/// with offline minimization forced (interval 1) and disabled
 /// (interval 0) must produce exactly the per-update verdicts of the literal
 /// progression baseline, on every transaction of the case.
 Result<OracleResult> CohortConfigsAgree(const FotlCase& c);
@@ -92,7 +93,7 @@ struct RouterDiffOptions {
 
 /// \brief Fragment-placement equality: the automaton backend, which places
 /// each letter-connected component on the point-algebra engine, on release
-/// cohort slots or on the joint residual graph (and runs a closed
+/// cohort slots or on progression (and runs a closed
 /// non-universal always-past sentence on the past evaluator), must produce
 /// exactly the per-update verdicts of the literal progression baseline, on
 /// every transaction of the case. When the sentence is closed and

@@ -483,7 +483,7 @@ TEST_F(AllocCountTest, SteadyStatePastEvaluatorStepAllocatesNothing) {
 
 // A monitor restored from a TICSNAP01 snapshot reaches the same steady-state
 // zero-allocation regime as the original: restore rebuilds the derived
-// machinery (joint graph, cohorts) on the first post-restore update, after
+// machinery (cohort placement) on the first post-restore update, after
 // which warmed empty-transaction updates must be heap-free — snapshots must
 // not leave the monitor in a permanently colder (allocating) configuration.
 TEST_F(AllocCountTest, RestoredMonitorSteadyStateAllocatesNothing) {
@@ -504,8 +504,8 @@ TEST_F(AllocCountTest, RestoredMonitorSteadyStateAllocatesNothing) {
   ASSERT_TRUE(restored_r.ok()) << restored_r.status().ToString();
   auto restored = std::move(*restored_r);
 
-  // Warm-up after restore: first update recompiles the joint graph and
-  // cohort placement; subsequent updates settle every table.
+  // Warm-up after restore: first update rebuilds the cohort placement;
+  // subsequent updates settle every table.
   for (int i = 0; i < 150; ++i) {
     ASSERT_TRUE(restored->ApplyTransaction(Transaction{}).ok());
   }

@@ -1,10 +1,10 @@
 // Differential fuzz suite for the monitor backends: on randomly generated
 // safety sentences and random update streams, the automaton backend
-// (memoized residual-graph transitions, liveness decided once per state) must
-// produce exactly the same per-update verdicts as the literal progression +
-// CheckSat procedure it replaces. Three families:
+// (cohort slots, point-algebra units, and progression for the components
+// outside both fragments) must produce exactly the same per-update verdicts
+// as the literal progression + CheckSat procedure. Three families:
 //   A. Random safe matrices (1 and 2 variables) over random streams with
-//      fresh elements arriving mid-stream (epoch recompiles + word replay).
+//      fresh elements arriving mid-stream (placement growth, catch-up).
 //   B. Spill-sized closures: deep Next-chains whose grounded joint closure
 //      exceeds the FlatBits inline width (256 bits), exercising the heap
 //      bitset path on both backends.
@@ -49,7 +49,7 @@ void ExpectBackendsAgree(const tt::FotlCase& kase, const std::string& label) {
 TEST(BackendDiffTest, RandomSafeSentencesAgreePerUpdate) {
   // Family A: 800 random safe sentences. Streams run over values {1,2,3}
   // with value 4 arriving in the back half — every case with a late fresh
-  // element exercises the epoch recompile + word replay path.
+  // element exercises incremental placement and word catch-up.
   constexpr int kCases = 800;
   auto replay = tt::ReplaySeedFromEnv();
   for (int c = 0; c < kCases; ++c) {

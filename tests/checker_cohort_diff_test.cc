@@ -12,7 +12,7 @@
 //   A. Random safe sentences (1 and 2 variables) over churn streams with a
 //      fresh element arriving mid-stream: 2-variable cases ground to
 //      letter-SHARING instance sets, so the union-find places their
-//      components on release cohort slots or the joint path and the oracle
+//      components on release cohort slots or progression and the oracle
 //      checks the placement split itself; the fresh element exercises
 //      incremental cohort growth and, on merges, the demotion + rebuild path.
 //   B. Wide single-variable cohorts over a 6-element universe: every
@@ -52,7 +52,7 @@ TEST(CohortDiffTest, RandomSafeSentencesAgreeAcrossConfigs) {
   // Family A: 700 random safe sentences with the default generator knobs
   // (the same distribution the backend diff suite runs). The 2-variable
   // draws produce instances sharing ground atoms, which land on release
-  // cohort slots or the joint path; the 1-variable draws cohort.
+  // cohort slots or progression; the 1-variable draws cohort.
   constexpr int kCases = 700;
   auto replay = tt::ReplaySeedFromEnv();
   for (int c = 0; c < kCases; ++c) {

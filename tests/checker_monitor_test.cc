@@ -31,7 +31,8 @@ class MonitorTest : public ::testing::Test {
         "forall x y . G !(x != y & Sub(x) & ((!Fill(x)) until "
         "(Sub(y) & ((!Fill(x)) until (Fill(y) & !Fill(x))))))");
     // submit_once guarded by any Fill: instances over two elements share
-    // Sub/Fill atoms and carry an X, so they step on the joint residual graph.
+    // Sub/Fill atoms and carry an X, so the automaton backend steps them on
+    // progression.
     joint_ = *fotl::Parse(fac_.get(),
                           "forall x y . G ((Sub(x) & Fill(y)) -> X G !Sub(x))");
   }
@@ -353,8 +354,9 @@ TEST_F(MonitorTest, ParallelVerdictsMatchSequentialBitForBit) {
 TEST_F(MonitorTest, VerdictCacheAccumulatesHitsOnSteadyStates) {
   // A steady stream keeps producing residual conjunctions the monitor has
   // already decided; the shared verdict cache must start hitting. Pinned to
-  // the progression backend: the automaton backend memoizes transitions, so
-  // steady states never reach CheckSat (and thus the verdict cache) at all.
+  // the progression backend: on the automaton backend submit_once's
+  // instances are cohort slots, which never reach CheckSat (and thus the
+  // verdict cache) at all.
   CheckOptions options;
   options.backend = MonitorBackend::kProgression;
   auto m = *Monitor::Create(fac_, submit_once_, {}, options);
@@ -370,12 +372,12 @@ TEST_F(MonitorTest, VerdictCacheAccumulatesHitsOnSteadyStates) {
 }
 
 TEST_F(MonitorTest, AutomatonBackendMemoizesSteadyStates) {
-  // A steady stream on the automaton backend: after the first occurrence of
-  // a (residual, letter) pair, updates are pure transition-memo hits and the
-  // tableau never runs again — live_queries stays at the number of distinct
-  // residuals reached. The constraint's instances share atoms outside the
-  // release fragment (X), so they step through the joint residual graph; a
-  // cohort counts table-cell reads instead (covered by the cohort suites).
+  // A steady stream on the automaton backend through a component that steps
+  // on progression (joint_'s instances share atoms outside the release
+  // fragment): the running residuals recur, so after the first update the
+  // conjunction's CheckSat answers from the shared verdict cache and the
+  // tableau never runs again. Cohorts count table-cell reads instead
+  // (covered by the cohort suites).
   auto m = *Monitor::Create(fac_, joint_);
   MonitorVerdict last;
   for (int step = 0; step < 6; ++step) {
@@ -383,25 +385,76 @@ TEST_F(MonitorTest, AutomatonBackendMemoizesSteadyStates) {
     ASSERT_TRUE(v.ok()) << v.status().ToString();
     EXPECT_TRUE(v->potentially_satisfied);
     EXPECT_EQ(v->backend, MonitorBackend::kAutomaton);
+    EXPECT_GT(v->num_residual_classes, v->num_cohorts) << "step " << step;
     last = *v;
   }
-  EXPECT_EQ(last.num_cohort_instances, 0u);  // all four pairs are joint
-  EXPECT_EQ(last.automaton_stats.steps, 6u);
-  EXPECT_GT(last.automaton_stats.memo_hits, 0u);
-  // Steady loop: the residual graph stabilizes after at most two states, so
-  // at least the last four updates were memo hits with zero tableau work.
-  EXPECT_GE(last.automaton_stats.memo_hits, 4u);
-  EXPECT_EQ(last.automaton_stats.live_queries, last.automaton_stats.num_states);
-  EXPECT_EQ(last.tableau_stats.num_expansions, 0u);  // final update: pure lookup
+  EXPECT_EQ(last.num_cohort_instances, 0u);  // all four pairs on progression
+  EXPECT_EQ(last.automaton_stats.steps, 0u);  // no cohort stepped
+  // Steady loop: the residuals stabilize after at most two updates, so at
+  // least the last four decisions were verdict-cache hits with zero tableau
+  // work.
+  EXPECT_GE(last.verdict_cache_stats.hits, 4u);
+  EXPECT_LE(last.verdict_cache_stats.misses, 2u);
+  EXPECT_EQ(last.tableau_stats.num_expansions, 0u);  // final update: a hit
+}
+
+TEST_F(MonitorTest, CohortMergedOntoProgressionThenCompactedMatchesReferences) {
+  // joint_ over element 1 alone is one letter-disjoint instance: a cohort
+  // slot. Fill(2) makes element 2 relevant mid-stream, and its pairs join
+  // element 1's instance into one atom-sharing component outside the
+  // release fragment: the placed slot moves, and the rebuild puts the whole
+  // component on progression, caught up from the checkpoint formulas. A
+  // Compact() then rebuilds the placement from rebased instances. Every
+  // verdict must equal the progression backend's, and the final one the
+  // batch Theorem 4.2 check of the whole history.
+  CheckOptions progression;
+  progression.backend = MonitorBackend::kProgression;
+  auto automaton = *Monitor::Create(fac_, joint_);
+  auto reference = *Monitor::Create(fac_, joint_, {}, progression);
+  History history = *History::Create(vocab_);
+  const std::vector<Transaction> stream = {
+      Txn({}, {1}),      // element 1: one cohort slot
+      Txn({1}, {}),      // Sub(1) & Fill(1): G !Sub(1) from the next state
+      Txn({}, {2}, {1}),  // element 2 merges the component
+      Txn({}, {}),
+      Txn({2}, {}),  // after Compact(): Sub(2) & Fill(y) arms G !Sub(2)
+      Txn({}, {}, {2}),
+      Txn({2}, {}),  // resubmission: violated
+  };
+  for (size_t t = 0; t < stream.size(); ++t) {
+    if (t == 4) {
+      ASSERT_TRUE(automaton->Compact().ok());
+      ASSERT_TRUE(reference->Compact().ok());
+    }
+    auto va = automaton->ApplyTransaction(stream[t]);
+    auto vr = reference->ApplyTransaction(stream[t]);
+    ASSERT_TRUE(va.ok()) << va.status().ToString();
+    ASSERT_TRUE(vr.ok()) << vr.status().ToString();
+    ASSERT_TRUE(ApplyTransaction(&history, stream[t]).ok());
+    EXPECT_EQ(va->potentially_satisfied, vr->potentially_satisfied) << "t=" << t;
+    EXPECT_EQ(va->permanently_violated, vr->permanently_violated) << "t=" << t;
+    EXPECT_EQ(va->permanently_violated, t + 1 == stream.size()) << "t=" << t;
+    if (t == 1) {
+      EXPECT_EQ(va->num_cohort_instances, 1u);
+    }
+    if (t == 2) {
+      EXPECT_EQ(va->num_cohort_instances, 0u);
+      EXPECT_GT(va->num_residual_classes, 0u);
+    }
+  }
+  EXPECT_TRUE(automaton->last_verdict().permanently_violated);
+  auto batch = CheckPotentialSatisfaction(*fac_, joint_, history);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_FALSE(batch->potentially_satisfied);
 }
 
 TEST_F(MonitorTest, TableauStatsPerUpdateAndCumulative) {
   // CheckSat counters reset per call, so verdict.tableau_stats covers only
   // the latest update; cumulative_tableau_stats must be the running sum of
   // the per-update stats, and must freeze (not reset) once the monitor dies.
-  // Joint path only (joint_ shares atoms outside the release fragment):
-  // cohort liveness is precompiled per state (lazy safety expansion), so the
-  // cohort path never reaches the monitor's CheckSat.
+  // Progression placement only (joint_ shares atoms outside the release
+  // fragment): cohort liveness is precompiled per state (lazy safety
+  // expansion), so the cohort path never reaches the monitor's CheckSat.
   auto m = *Monitor::Create(fac_, joint_);
   ptl::TableauStats sum;
   for (int step = 0; step < 4; ++step) {

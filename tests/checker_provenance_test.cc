@@ -102,6 +102,60 @@ TEST_F(ProvenanceTest, PlantedViolationYieldsGroundedDiagnosis) {
   EXPECT_NE(d.factory, nullptr);
 }
 
+// A joint death: every instance's residual stays satisfiable on its own,
+// but instances sharing atoms outside the release fragment contradict each
+// other (ptl_safety_test's counterexample, grounded over elements 1 and 2:
+// P(1) must hold next and never again after P(1)). Both backends step those
+// instances on progression and must explain the death by one joint
+// Diagnosis naming the collapsed subformula of the conjunction that entered
+// the fatal letter — the grounding itself when the death comes on the first
+// update, the previous update's conjunction later.
+TEST(ProvenanceJointTest, JointDeathNamesTheCollapsedSubformulaOnBothBackends) {
+  auto vocab = std::make_shared<Vocabulary>();
+  PredicateId p = *vocab->AddPredicate("P", 1);
+  PredicateId q = *vocab->AddPredicate("Q", 1);
+  PredicateId r = *vocab->AddPredicate("R", 1);
+  auto fac = std::make_shared<fotl::FormulaFactory>(vocab);
+  auto phi = fotl::Parse(fac.get(),
+                         "forall x y . (x = y -> G (P(x) -> X G !P(x))) & "
+                         "(x != y -> G ((Q(y) & R(x)) -> X P(x)))");
+  ASSERT_TRUE(phi.ok()) << phi.status().ToString();
+  const std::vector<std::vector<Transaction>> streams = {
+      {{UpdateOp::Insert(p, {1}), UpdateOp::Insert(q, {2}),
+        UpdateOp::Insert(r, {1})}},
+      {{UpdateOp::Insert(q, {2}), UpdateOp::Insert(r, {1})},
+       {UpdateOp::Insert(p, {1})}},
+  };
+  for (MonitorBackend backend :
+       {MonitorBackend::kAutomaton, MonitorBackend::kProgression}) {
+    for (const std::vector<Transaction>& stream : streams) {
+      SCOPED_TRACE(::testing::Message()
+                   << "backend " << static_cast<int>(backend) << ", "
+                   << stream.size() << " updates");
+      CheckOptions options;
+      options.backend = backend;
+      options.provenance = true;
+      auto m = Monitor::Create(fac, *phi, {}, options);
+      ASSERT_TRUE(m.ok()) << m.status().ToString();
+      MonitorVerdict v;
+      for (const Transaction& txn : stream) {
+        auto step = (*m)->ApplyTransaction(txn);
+        ASSERT_TRUE(step.ok()) << step.status().ToString();
+        v = *step;
+      }
+      ASSERT_TRUE(v.permanently_violated);
+      EXPECT_EQ(v.time, stream.size() - 1);
+      ASSERT_EQ(v.explanations().size(), 1u);
+      const Diagnosis& d = v.explanations().front();
+      EXPECT_TRUE(d.joint);
+      EXPECT_NE(d.grounded, nullptr);
+      EXPECT_NE(d.residual, nullptr);
+      ASSERT_NE(d.last_live, nullptr);
+      EXPECT_NE(d.subformula, nullptr) << d.Render();
+    }
+  }
+}
+
 TEST_F(ProvenanceTest, RenderIsHumanReadable) {
   auto m = *Monitor::Create(fac_, submit_once_);
   MonitorVerdict v = PlantViolation(m.get());

@@ -1,8 +1,8 @@
 // Differential fuzz suite for the automaton backend's fragment placements: on
 // randomly generated constraints and update streams, the monitor — which
 // steps point-algebra components through the watched-literal engine,
-// atom-sharing release-fragment components as cohort slots, and the rest
-// through the joint residual graph — must produce exactly the per-update
+// atom-sharing release-fragment components as cohort slots, and the rest on
+// progression — must produce exactly the per-update
 // verdicts of the literal progression baseline. The shared oracle
 // (testing/oracles.h) runs every case through both and, when the sentence is
 // closed and always-past, through the past evaluator built directly, and
@@ -97,7 +97,7 @@ TEST(RouterDiffTest, RandomSafeSentencesAgreeAcrossConfigs) {
 TEST(RouterDiffTest, QtcnCasesRouteAndAgree) {
   // Family B: 350 random QTCN compilations. min_routed = 1 guards coverage:
   // a generator or matcher drift that silently pushes these onto cohorts or
-  // the joint graph would otherwise turn the family into a no-op.
+  // progression would otherwise turn the family into a no-op.
   constexpr int kCases = 350;
   auto replay = tt::ReplaySeedFromEnv();
   for (int c = 0; c < kCases; ++c) {
@@ -166,8 +166,7 @@ TEST(RouterDiffTest, ReleaseFragmentComponentsAgreeUnderCompaction) {
   // Family D: 400 random 2-variable release-fragment sentences. Coverage
   // guard, as family B's: the family fails unless at least 100 cases'
   // monitors recorded a release route decision (177 do), i.e. atom-sharing
-  // components actually took the release route instead of the joint
-  // residual graph.
+  // components actually took the release route instead of progression.
   constexpr int kCases = 400;
   auto replay = tt::ReplaySeedFromEnv();
   tt::RouterDiffOptions options;
@@ -299,8 +298,9 @@ TEST(RouterDiffTest, FifoFlipsReachEveryWatchingSlot) {
 // `G (Q(b) & R(a) -> X P(a))` (the R guard keeps the stand-in instances
 // `true`). After the letter {P(a), Q(b), R(a)} each residual alone is
 // satisfiable but together they are not (ptl_safety_test's counterexample),
-// so ANDing per-slot live bits would miss the violation that progression and
-// the joint path must both report at once.
+// so ANDing per-slot live bits would miss the violation that both backends
+// must report at once: the automaton backend keeps the component on
+// progression.
 TEST(RouterDiffTest, NextSharingComponentsStayJoint) {
   auto vocab = std::make_shared<Vocabulary>();
   PredicateId p = *vocab->AddPredicate("P", 1);

@@ -16,14 +16,14 @@
 // Families (>= 1050 cases total):
 //   A: 350  automaton backend (default options)
 //   B: 250  automaton backend on constraints whose instances share atoms
-//           outside the release fragment (joint residual graph)
+//           outside the release fragment (stepped on progression)
 //   C: 200  progression backend
 //   D: 150  QTCN / point-algebra route (default options)
 //   E: 100  past-stateless route (non-universal G (forall* matrix))
 // plus a metamorphic compaction oracle: compact-at-every-k verdicts equal
 // the never-compacted reference, and snapshot/restore of the compacted twin
-// stays equivalent (90 automaton cases, half of them joint-path
-// constructions, plus 60 progression cases).
+// stays equivalent (90 automaton cases, half of them atom-sharing
+// constructions stepped on progression, plus 60 progression cases).
 //
 // Every failure message carries the case seed and a serialized reproducer;
 // re-run one case with TIC_REPLAY_SEED=<seed>.
@@ -50,9 +50,9 @@ namespace tt = ::tic::testing;
 struct DiffOutcome {
   bool ok = true;
   std::string detail;
-  // Some reference verdict stepped the joint residual graph: on the
-  // automaton backend num_residual_classes counts the joint graph's
-  // conjuncts plus one per cohort.
+  // Some reference verdict stepped instances on progression: on the
+  // automaton backend num_residual_classes counts the progression set's
+  // residual classes plus one per cohort.
   bool joint = false;
 };
 
@@ -162,7 +162,7 @@ tt::SafetyCaseOptions JointCaseOptions() {
   return options;
 }
 
-// Returns whether the reference stepped the joint residual graph.
+// Returns whether the reference stepped instances on progression.
 bool ExpectEquivalent(const tt::FotlCase& kase, const CheckOptions& options,
                       uint64_t seed, const char* family,
                       size_t compact_every = 0) {
@@ -191,8 +191,8 @@ TEST(SnapshotDiff, FamilyA_AutomatonCohorts) {
 
 // ---------------------------------------------------------------------------
 // Family B: automaton backend on constraints whose grounded instances share
-// atoms outside the release fragment, so they step through the joint
-// residual graph. Coverage guard: the family fails unless that path ran.
+// atoms outside the release fragment, so they step on progression. Coverage
+// guard: the family fails unless that path ran.
 // ---------------------------------------------------------------------------
 TEST(SnapshotDiff, FamilyB_AutomatonJoint) {
   std::optional<uint64_t> replay = tt::ReplaySeedFromEnv();
@@ -206,8 +206,8 @@ TEST(SnapshotDiff, FamilyB_AutomatonJoint) {
     if (ExpectEquivalent(kase, options, seed, "B/automaton-joint")) ++joint;
   }
   if (!replay) {
-    EXPECT_GE(joint, 200u) << "joint-path family under-exercised the joint "
-                              "residual graph";
+    EXPECT_GE(joint, 200u) << "joint-path family under-exercised the "
+                              "progression placement";
   }
 }
 
@@ -305,8 +305,9 @@ TEST(SnapshotDiff, FamilyE_PastRoute) {
 // checkpoint at every k-th transaction (k in {1, 2, 3}) must not change any
 // verdict, and a snapshot taken of the compacted twin must restore into an
 // equivalent monitor. Run over the automaton backend — on general cases and,
-// for odd c, on joint-path constructions — and over the progression backend,
-// whose k = 1 slice is history-less monitoring.
+// for odd c, on atom-sharing constructions outside the release fragment —
+// and over the progression backend, whose k = 1 slice is history-less
+// monitoring.
 // ---------------------------------------------------------------------------
 TEST(SnapshotDiff, MetamorphicCompactEveryK) {
   std::optional<uint64_t> replay = tt::ReplaySeedFromEnv();
@@ -322,8 +323,8 @@ TEST(SnapshotDiff, MetamorphicCompactEveryK) {
     if (ExpectEquivalent(kase, options, seed, "M/compact-every-k", k)) ++joint;
   }
   if (!replay) {
-    EXPECT_GE(joint, 40u) << "compact-every-k under-exercised the joint "
-                             "residual graph";
+    EXPECT_GE(joint, 40u) << "compact-every-k under-exercised the "
+                             "progression placement";
   }
   for (uint64_t c = 0; c < 60; ++c) {
     uint64_t seed = 0x3b91e6d5u + c;

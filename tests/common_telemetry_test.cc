@@ -288,9 +288,10 @@ TEST_F(TelemetryTest, AutomatonBackendEmitsStepSpansAndMemoCounters) {
   PredicateId fill = *v->AddPredicate("Fill", 1);
   VocabularyPtr vocab = v;
   auto fac = std::make_shared<fotl::FormulaFactory>(vocab);
-  // The monitor.automaton_step span belongs to the joint residual-graph path
-  // (cohort lockstep stepping emits monitor.cohort_step instead): this
-  // constraint's instances share atoms outside the release fragment (X).
+  // This constraint's instances share atoms outside the release fragment
+  // (X), so the automaton backend steps them on progression: monitor.progress
+  // spans and CheckSat through the verdict cache (cohort lockstep stepping
+  // emits monitor.cohort_step instead).
   fotl::Formula joint = *fotl::Parse(
       fac.get(), "forall x y . G ((Sub(x) & Fill(y)) -> X G !Sub(x))");
 
@@ -307,22 +308,26 @@ TEST_F(TelemetryTest, AutomatonBackendEmitsStepSpansAndMemoCounters) {
     txn.push_back(UpdateOp::Delete(sub, {static_cast<Value>(t % 5 + 1)}));
     auto verdict = (*m)->ApplyTransaction(txn);
     ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+    ASSERT_EQ(verdict->backend, checker::MonitorBackend::kAutomaton);
   }
   SetTraceSink(nullptr);
 
   MetricsSnapshot snap = CollectMetrics();
   const HistogramData* update = FindHistogram(snap, "span/monitor.update");
-  const HistogramData* step =
-      FindHistogram(snap, "span/monitor.update/monitor.automaton_step");
+  const HistogramData* progress =
+      FindHistogram(snap, "span/monitor.update/monitor.progress");
   ASSERT_NE(update, nullptr);
-  ASSERT_NE(step, nullptr);
+  ASSERT_NE(progress, nullptr);
   EXPECT_EQ(update->count, 60u);
-  // Every update after the compiling ones is a single automaton step.
-  EXPECT_GT(step->count, 0u);
-  uint64_t hits = CounterValue(snap, "automaton/transition_memo_hits");
-  uint64_t misses = CounterValue(snap, "automaton/transition_memo_misses");
+  // Every update from the third on steps the progression set once. Before
+  // it no pair shares atoms: the first update leaves no element relevant,
+  // the second only element 1, whose lone pair is a cohort slot.
+  EXPECT_EQ(progress->count, 58u);
+  uint64_t hits = CounterValue(snap, "verdict_cache/hits");
+  uint64_t misses = CounterValue(snap, "verdict_cache/misses");
   EXPECT_GT(hits + misses, 0u);
-  // The 5-element round-robin revisits database states, so the memo must hit.
+  // The 5-element round-robin revisits database states, so the verdict cache
+  // must hit.
   EXPECT_GT(hits, misses);
 
   std::string error;

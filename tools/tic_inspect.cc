@@ -162,7 +162,7 @@ std::string DescribeEvent(const RecordedEvent& e) {
       if (e.c == ~uint64_t{0}) {
         std::snprintf(buf, sizeof(buf),
                       "letter_flip letter=%" PRIu64 " value=%" PRIu64
-                      " owner=joint", e.a, e.b);
+                      " owner=none", e.a, e.b);
       } else {
         std::snprintf(buf, sizeof(buf),
                       "letter_flip letter=%" PRIu64 " value=%" PRIu64
@@ -172,7 +172,7 @@ std::string DescribeEvent(const RecordedEvent& e) {
       break;
     case EventType::kCohortRebuild:
       std::snprintf(buf, sizeof(buf), "cohort_rebuild cohorts=%" PRIu64
-                    " slots=%" PRIu64 " joint=%" PRIu64, e.a, e.b, e.c);
+                    " slots=%" PRIu64 " progression=%" PRIu64, e.a, e.b, e.c);
       break;
     case EventType::kCohortMinimize:
       std::snprintf(buf, sizeof(buf), "cohort_minimize collapsed=%" PRIu64
