@@ -16,6 +16,7 @@
 #include "bench/bench_common.h"
 #include "checker/checkpoint.h"
 #include "checker/monitor.h"
+#include "common/telemetry/recorder.h"
 
 namespace tic {
 namespace {
@@ -145,6 +146,86 @@ void BM_Snapshot_Compact(benchmark::State& state) {
 BENCHMARK(BM_Snapshot_Compact)
     ->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->UseManualTime();
 
+// The steady fold: an N-element session monitor (Sub as Open, Fill as
+// Closed) where 4 sessions move between folds. Every element is relevant
+// from t=0 and idle after (no true letter). Each iteration opens the next 2
+// sessions, closes the 2 opened before (Sub -> Fill) and idles the 2 closed
+// before that, takes one quiet update, then times Compact() plus the update
+// after it. Compact() keeps the engines and rebases only the instances that
+// moved (the 2 opened and the 2 closed), so the cost should stay near flat
+// in N; `rebased` is the last fold's count from the flight recorder
+// (telemetry builds; 0 without).
+void BM_Snapshot_CompactThenUpdate(benchmark::State& state) {
+  auto& fx = Fixture();
+  const Value n = static_cast<Value>(state.range(0));
+  auto session = fotl::Parse(fx.factory.get(),
+                             "forall x . G (Sub(x) -> X (Sub(x) | Fill(x)))");
+  auto m = checker::Monitor::Create(fx.factory, *session);
+  if (!m.ok()) {
+    state.SkipWithError(m.status().ToString().c_str());
+    return;
+  }
+  Transaction seed, idle;
+  for (Value v = 1; v <= n; ++v) {
+    seed.push_back(UpdateOp::Insert(fx.fill, {v}));
+    idle.push_back(UpdateOp::Delete(fx.fill, {v}));
+  }
+  auto run = [&](const Transaction& txn) -> bool {
+    auto v = (*m)->ApplyTransaction(txn);
+    if (!v.ok() || !v->potentially_satisfied) {
+      state.SkipWithError(v.ok() ? "session violated"
+                                 : v.status().ToString().c_str());
+      return false;
+    }
+    return true;
+  };
+  if (!run(seed) || !run(idle) || !(*m)->Compact().ok() || !run({})) return;
+  Value next = 1;
+  std::vector<Value> opened, closed;
+  double compact_s = 0;
+  for (auto _ : state) {
+    Transaction move;
+    for (Value v : closed) move.push_back(UpdateOp::Delete(fx.fill, {v}));
+    for (Value v : opened) {
+      move.push_back(UpdateOp::Delete(fx.sub, {v}));
+      move.push_back(UpdateOp::Insert(fx.fill, {v}));
+    }
+    closed = opened;
+    opened.clear();
+    for (int i = 0; i < 2; ++i, next = next % n + 1) {
+      move.push_back(UpdateOp::Insert(fx.sub, {next}));
+      opened.push_back(next);
+    }
+    if (!run(move) || !run({})) return;
+    auto start = std::chrono::steady_clock::now();
+    Status s = (*m)->Compact();
+    auto folded = std::chrono::steady_clock::now();
+    bool ok = s.ok() && run({});
+    auto end = std::chrono::steady_clock::now();
+    if (!ok) {
+      if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+      return;
+    }
+    state.SetIterationTime(
+        std::chrono::duration<double>(end - start).count());
+    compact_s += std::chrono::duration<double>(folded - start).count();
+  }
+  uint64_t rebased = 0;
+#ifdef TIC_TELEMETRY_ENABLED
+  for (const telemetry::RecordedEvent& e : telemetry::SnapshotRecorder()) {
+    if (e.type == telemetry::EventType::kEpochReset) rebased = e.c;
+  }
+#endif
+  state.counters["rebased"] = static_cast<double>(rebased);
+  // Compact() alone, in µs per fold.
+  state.counters["compact_us"] =
+      1e6 * compact_s / static_cast<double>(state.iterations());
+  state.counters["instances"] =
+      static_cast<double>((*m)->last_verdict().num_instances);
+}
+BENCHMARK(BM_Snapshot_CompactThenUpdate)
+    ->Arg(64)->Arg(256)->Arg(1024)->UseManualTime();
+
 // The headline size guarantee, asserted: drive the same periodic stream to
 // even lengths t and 2t (identical final database state), compact both, and
 // require byte-EQUAL snapshots — the compacted image must not retain any
@@ -213,9 +294,8 @@ void BM_Snapshot_FreshElementCatchUp(benchmark::State& state) {
         return;
       }
     }
-    // One settling update on both arms: the first update after Compact()
-    // rebuilds every placement, a one-time cost we don't want folded into
-    // the per-arrival measurement.
+    // One settling update on both arms, so both measure an arrival into a
+    // monitor that has stepped since its last fold.
     auto settle = (*m)->ApplyTransaction({});
     if (!settle.ok()) {
       state.SkipWithError(settle.status().ToString().c_str());

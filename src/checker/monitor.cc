@@ -513,7 +513,8 @@ Result<ptl::Formula> Monitor::CompactBaseResidual(
   return RenameResidualCodes(compact_patterns_[*pattern_idx].residual, code_map);
 }
 
-Status Monitor::BuildCompactPatterns() {
+Status Monitor::BuildCompactPatterns(std::vector<CompactPattern>* patterns,
+                                     PatternIndex* index) {
   const size_t k = external_.size();
   // Domain: everything relevant now, the real stand-ins, and one kept
   // stand-in per variable position (k of them saturate any assignment). A
@@ -529,11 +530,7 @@ Status Monitor::BuildCompactPatterns() {
         "^" + std::to_string(k) + " assignments exceeds the cap");
   }
 
-  std::vector<CompactPattern> patterns;
-  flat::FlatMap<std::vector<GroundElem>, size_t, flat::Remixed<AssignmentHash>,
-                AssignmentEq>
-      index;
-  TIC_RETURN_NOT_OK(ForEachAssignment(
+  return ForEachAssignment(
       domain, k, [&](const std::vector<GroundElem>& assignment) -> Status {
         // Keep only canonical assignments with at least one kept stand-in:
         // kept indices must appear in first-occurrence order starting at k,
@@ -557,13 +554,54 @@ Status Monitor::BuildCompactPatterns() {
           TIC_ASSIGN_OR_RETURN(base, GroundMatrix(assignment, /*keep_z_from=*/k));
         }
         TIC_ASSIGN_OR_RETURN(ptl::Formula residual, ProgressThroughWord(base));
-        index.Emplace(assignment, patterns.size());
-        patterns.push_back(CompactPattern{assignment, residual});
+        index->Emplace(assignment, patterns->size());
+        patterns->push_back(CompactPattern{assignment, residual});
         return Status::OK();
-      }));
-  compact_patterns_ = std::move(patterns);
-  compact_pattern_index_ = std::move(index);
-  return Status::OK();
+      });
+}
+
+Result<size_t> Monitor::RebaseMoved(std::vector<ptl::Formula>* rebased) {
+  // Kept: a cohort slot back in its fold state, a point-algebra instance no
+  // flip reached, an inert instance. Their engine state has their basis's
+  // language, so the basis already is their formula at the new checkpoint.
+  const size_t n = instances_.size();
+  rebased->assign(n, nullptr);
+  size_t kept = 0;
+  auto keep = [&](uint32_t i) {
+    (*rebased)[i] = instances_[i].residual;
+    ++kept;
+  };
+  for (const Cohort& ch : cohorts_) {
+    for (size_t s = 0; s < ch.states.size(); ++s) {
+      uint32_t now = ch.uniform ? ch.states[0] : ch.states[s];
+      if (now == ch.fold_states[s]) keep(ch.members[s]);
+    }
+  }
+  for (uint32_t i = 0; i < placement_.size(); ++i) {
+    if (placement_[i] == Placement::kInert ||
+        (placement_[i] == Placement::kPointAlg && !pa_.MovedSinceFold(i))) {
+      keep(i);
+    }
+  }
+  // An instance on progression holds its formula now as its running
+  // residual. The rest — moved slots and units, instances not placed (before
+  // the first update, or after a restore until its first update) — replay
+  // the word, memoized per distinct basis: symmetric instances rebase once.
+  for (size_t p = 0; p < running_residuals_.size(); ++p) {
+    (*rebased)[prog_members_[p]] = running_residuals_[p];
+  }
+  std::unordered_map<ptl::Formula, ptl::Formula> memo;
+  for (size_t i = 0; i < n; ++i) {
+    if ((*rebased)[i] != nullptr) continue;
+    ptl::Formula basis = instances_[i].residual;
+    auto it = memo.find(basis);
+    if (it == memo.end()) {
+      TIC_ASSIGN_OR_RETURN(ptl::Formula folded, ProgressThroughWord(basis));
+      it = memo.emplace(basis, folded).first;
+    }
+    (*rebased)[i] = it->second;
+  }
+  return n - kept;
 }
 
 Status Monitor::Compact() {
@@ -572,52 +610,41 @@ Status Monitor::Compact() {
   // Nothing to fold: no state since the last checkpoint (or only state 0).
   if (num_states_ <= time_base_ + 1) return Status::OK();
 
+  // Every fallible step writes into locals; the monitor changes only after
+  // the last of them. A dead monitor's verdict never changes again: its
+  // instances are not rebased and it needs no patterns.
+  std::vector<CompactPattern> patterns;
+  PatternIndex pattern_index;
+  std::vector<ptl::Formula> rebased;
+  size_t num_rebased = 0;
   if (!dead_) {
-    // Patterns first: a second compaction reads the previous checkpoint's
-    // patterns through CompactBaseResidual while building the new ones.
-    TIC_RETURN_NOT_OK(BuildCompactPatterns());
-    // Rebase every instance to its formula at the new checkpoint, so the
-    // cleared word stays the whole replay domain. An instance on progression
-    // already holds that formula as its running residual; the rest replay
-    // the word, memoized per distinct basis — symmetric instances rebase
-    // once.
-    std::vector<ptl::Formula> now(instances_.size(), nullptr);
-    for (size_t p = 0; p < running_residuals_.size(); ++p) {
-      now[prog_members_[p]] = running_residuals_[p];
-    }
-    std::unordered_map<ptl::Formula, ptl::Formula> memo;
-    for (size_t i = 0; i < instances_.size(); ++i) {
-      ptl::Formula& basis = instances_[i].residual;
-      if (now[i] == nullptr) {
-        auto it = memo.find(basis);
-        if (it == memo.end()) {
-          TIC_ASSIGN_OR_RETURN(ptl::Formula folded, ProgressThroughWord(basis));
-          it = memo.emplace(basis, folded).first;
-        }
-        now[i] = it->second;
-      }
-      basis = now[i];
-    }
-  } else {
-    // A dead monitor's verdict never changes again: its instances are not
-    // rebased and no patterns are needed.
-    compact_patterns_.clear();
-    compact_pattern_index_.Clear();
+    TIC_RETURN_NOT_OK(BuildCompactPatterns(&patterns, &pattern_index));
+    TIC_ASSIGN_OR_RETURN(num_rebased, RebaseMoved(&rebased));
+  }
+  compact_patterns_ = std::move(patterns);
+  compact_pattern_index_ = std::move(pattern_index);
+  for (size_t i = 0; i < rebased.size(); ++i) {
+    instances_[i].residual = rebased[i];
   }
   compact_relevant_ = known_relevant_;
   compacted_ = true;
   time_base_ = num_states_ - 1;
   word_.clear();
 
-  // Invalidate everything derived from pre-fold bases or word positions: on
-  // the automaton backend the next update rebuilds every placement, the
-  // progression set included, from the rebased instances. On the progression
-  // backend nothing is placed, and the running residuals and their classes
-  // describe "now" and stay valid, as does cur_letter_ — it describes the
-  // current state, which survives the fold.
-  ResetPlacements();
+  // The engines keep their state: each has the language of its instance's
+  // new basis, and the empty word is consistent with both. The fold states
+  // move to "now"; the running residuals, cur_letter_ and the union-find
+  // (over pre-fold atoms, a superset of the rebased bases' — an extra merge
+  // only costs a conjunction test) stay as they are.
+  for (Cohort& ch : cohorts_) {
+    for (size_t s = 0; s < ch.states.size(); ++s) {
+      ch.fold_states[s] = ch.uniform ? ch.states[0] : ch.states[s];
+    }
+  }
+  pa_.NoteFold();
   TIC_COUNTER_ADD("monitor/compactions", 1);
-  TIC_RECORD(kEpochReset, time_base_, instances_.size(), 0);
+  TIC_RECORD(kEpochReset, time_base_, instances_.size(), num_rebased);
+  (void)num_rebased;
   return Status::OK();
 }
 
@@ -840,6 +867,7 @@ Result<Monitor::Placement> Monitor::PlaceOne(uint32_t idx,
     ch.uniform = false;
   }
   ch.states.push_back(s);
+  ch.fold_states.push_back(h.ts->initial());
   ch.members.push_back(idx);
   ch.hot_count.push_back(0);
   ch.hot_pos.push_back(0);
@@ -873,7 +901,16 @@ void Monitor::WatchLetter(ptl::PropId p, uint64_t owner) {
   touch_lists_.push_back(std::move(owners));
 }
 
-void Monitor::ResetPlacements() {
+Status Monitor::RebuildPlacements() {
+  // A fresh instance joined a component whose placed members the rule would
+  // now move (a cohort or point-algebra component absorbed a member outside
+  // its fragment), or nothing is placed yet (first update, restore):
+  // recompute the whole partition. Correct by simplicity — instances hold
+  // their checkpoint formulas, so the recomputed progression set catches up
+  // from them (this update's CatchUp), and re-cohorted instances replay
+  // through the shared transition memo.
+  TIC_SPAN("monitor.cohort_rebuild");
+  TIC_COUNTER_ADD("monitor/cohort_rebuilds", 1);
   cohorts_.clear();
   cohort_by_ts_.Clear();
   cohort_touch_.Clear();
@@ -886,19 +923,6 @@ void Monitor::ResetPlacements() {
   num_cohort_slots_ = 0;
   pa_.Reset();
   pa_shape_.clear();
-}
-
-Status Monitor::RebuildPlacements() {
-  // A fresh instance joined a component whose placed members the rule would
-  // now move (a cohort or point-algebra component absorbed a member outside
-  // its fragment), or placements were dropped (first update, Compact,
-  // restore): recompute the whole partition. Correct by simplicity —
-  // instances hold their checkpoint formulas, so the recomputed progression
-  // set catches up from them (this update's CatchUp), and re-cohorted
-  // instances replay through the shared transition memo.
-  TIC_SPAN("monitor.cohort_rebuild");
-  TIC_COUNTER_ADD("monitor/cohort_rebuilds", 1);
-  ResetPlacements();
   prog_members_.clear();
   running_residuals_.clear();
   progress_classes_.clear();
@@ -1153,8 +1177,11 @@ Status Monitor::CohortStepAll(const ptl::PropState& w, MonitorVerdict* verdict,
         TIC_GAUGE_SET("monitor/cohort_collapsed_sets", ms.collapsed_sets);
         // Representatives are valid under every letter (liveness and literal
         // masks are class-invariant), so live states remap without replay.
+        // Fold states remap with them, or an unmoved slot would read as
+        // moved at the next Compact().
         for (size_t i = 0; i < n; ++i) {
           ch.states[i] = ch.ts->Representative(ch.states[i]);
+          ch.fold_states[i] = ch.ts->Representative(ch.fold_states[i]);
         }
         ch.sets_at_minimize = ch.ts->num_state_sets();
         TIC_RECORD(kCohortMinimize, ms.collapsed_sets, ch.sets_at_minimize,

@@ -108,13 +108,20 @@ class Monitor {
 
   /// Checkpointed compaction (Theorem 4.1's residual reading): folds the word
   /// since the last checkpoint into the instances' checkpoint formulas,
-  /// making epoch resets, fresh-element catch-up, and snapshots O(state)
-  /// instead of O(t). Fresh elements arriving after the fold are caught up
-  /// from pre-enumerated *z-patterns* — the checkpoint residuals of
-  /// assignments over stand-ins kept as letters — by renaming, exactly the
-  /// paper's indistinguishability argument. Verdicts are unaffected.
-  /// ResourceExhausted (monitor unchanged) when the pattern enumeration would
-  /// exceed kMaxCompactEnumeration.
+  /// making fresh-element catch-up and snapshots O(state) instead of O(t).
+  /// Fresh elements arriving after the fold are caught up from
+  /// pre-enumerated *z-patterns* — the checkpoint residuals of assignments
+  /// over stand-ins kept as letters — by renaming, exactly the paper's
+  /// indistinguishability argument. Verdicts are unaffected.
+  ///
+  /// Every engine keeps its stepped state across the fold, and only the
+  /// instances that moved since the last fold are rebased: a cohort slot
+  /// still in its fold state, a point-algebra instance no flip touched and
+  /// an inert instance keep their formulas (their engine state already has
+  /// that language); instances on progression take their running residual;
+  /// the rest replay the word. All or nothing: ResourceExhausted (monitor
+  /// unchanged) when the pattern enumeration would exceed
+  /// kMaxCompactEnumeration.
   ///
   /// No past database state is stored, so nothing is truncated.
   /// History-less monitoring (the paper's Section 6 question) is this call
@@ -177,13 +184,6 @@ class Monitor {
   Status CreateFreshInstances(const std::vector<Value>& fresh);
 
   // --- Checkpointed history compaction (Monitor::Compact) ---
-  // Enumerates the compaction patterns: assignments over
-  // compact_relevant_ + real stand-ins Z(0..k-1) + kept stand-ins Z(k..2k-1)
-  // with at least one kept stand-in, in canonical (first-occurrence) kept
-  // order, each mapped to its residual at the checkpoint. Builds into fresh
-  // structures and swaps at the end, so a second compaction can read the
-  // previous checkpoint's patterns while building.
-  Status BuildCompactPatterns();
   // Residual at the checkpoint of an assignment that mentions an element
   // unknown at the fold (not in compact_relevant_, or a stand-in with index
   // >= k): unknown elements are canonically renumbered onto the kept
@@ -269,9 +269,11 @@ class Monitor {
   // conjunction of their formulas. `residual` is the instance's formula at
   // the last checkpoint, in every backend: its grounding before the first
   // Compact(), then what Compact() rebased it to (or, for an instance created
-  // after a fold, its z-pattern residual). Progressing it through word_ gives
-  // the formula now; each engine keeps that stepped state itself (cohort
-  // slots, point-algebra units, running_residuals_).
+  // after a fold, its z-pattern residual). An instance that did not move
+  // since the previous fold keeps its formula, which has the same language
+  // as the rebased one. Progressing it through word_ gives the formula now;
+  // each engine keeps that stepped state itself (cohort slots, point-algebra
+  // units, running_residuals_), across folds too.
   struct Instance {
     std::vector<GroundElem> assignment;
     ptl::Formula residual;
@@ -297,10 +299,21 @@ class Monitor {
     std::vector<GroundElem> assignment;
     ptl::Formula residual;
   };
+  using PatternIndex = flat::FlatMap<std::vector<GroundElem>, size_t,
+                                     flat::Remixed<AssignmentHash>, AssignmentEq>;
   std::vector<CompactPattern> compact_patterns_;
-  flat::FlatMap<std::vector<GroundElem>, size_t, flat::Remixed<AssignmentHash>,
-                AssignmentEq>
-      compact_pattern_index_;
+  PatternIndex compact_pattern_index_;
+  // Enumerates the compaction patterns into `patterns` / `index`:
+  // assignments over known_relevant_ + real stand-ins Z(0..k-1) + kept
+  // stand-ins Z(k..2k-1) with at least one kept stand-in, in canonical
+  // (first-occurrence) kept order, each mapped to its residual at the new
+  // checkpoint. It reads the previous checkpoint's patterns while building;
+  // Compact() swaps the new ones in.
+  Status BuildCompactPatterns(std::vector<CompactPattern>* patterns,
+                              PatternIndex* index);
+  // Each instance's formula at the new checkpoint (see Compact()); returns
+  // how many were rebased rather than kept.
+  Result<size_t> RebaseMoved(std::vector<ptl::Formula>* rebased);
   // Cap on the pattern-enumeration odometer ((R + 2k)^k assignments):
   // Compact() returns ResourceExhausted, monitor unchanged, beyond it.
   static constexpr size_t kMaxCompactEnumeration = 200000;
@@ -369,9 +382,8 @@ class Monitor {
   // checkpoint formula progressed through word_, its formula now. Members
   // past the end of running_residuals_ (placed this update, every member
   // after a rebuild or a restore) are caught up from their bases. A
-  // rebuild of the placements recomputes the set; Compact() on the
-  // progression backend leaves it alone — a fold changes the basis and the
-  // word, not "now".
+  // rebuild of the placements recomputes the set; Compact() leaves it
+  // alone — a fold changes the basis and the word, not "now".
   std::vector<uint32_t> prog_members_;
   std::vector<ptl::Formula> running_residuals_;
   // ProgressAll's persistent residual equivalence classes over positions in
@@ -449,6 +461,12 @@ class Monitor {
     // materialized (fill with states[0]) before the first gather.
     bool uniform = true;
     uint64_t sets_at_minimize = 0;  // num_state_sets at the last MinimizeNow
+    // Per slot, the state its member's basis has the language of: the state
+    // held at the last Compact(), or initial() for a slot placed since. A
+    // slot that is back in it at the next fold keeps its basis (equal
+    // state-set ids, equal residual languages). Remapped with `states` by
+    // MinimizeNow; never read on the step path, so it sits last.
+    flat::SmallVec<uint32_t, 8> fold_states;
   };
   static constexpr uint32_t kCellNextMask = (1u << 30) - 1;
   static constexpr uint32_t kCellUndiscovered = 0xFFFFFFFFu;
@@ -521,10 +539,11 @@ class Monitor {
   // Places the instances not placed yet: extends the union-find and places
   // each by its component's rule, appending cohort slots (replaying word_
   // minus the current state), point-algebra instances and progression
-  // members without touching placed ones. A merge that would move a placed
-  // instance, or placements dropped (first update, Compact, restore),
-  // rebuilds all placements from scratch. On the progression backend it
-  // only appends the new instances to the progression set.
+  // members without touching placed ones. Nothing placed yet (the first
+  // update, or the first after a restore) or a merge that would move a
+  // placed instance rebuilds all placements from scratch; Compact() keeps
+  // them. On the progression backend it only appends the new instances to
+  // the progression set.
   Status PlaceInstances();
   // PlaceInstances' body over [first, instances_.size()); false, with
   // nothing placed, when a placed instance would have to move.
@@ -533,12 +552,9 @@ class Monitor {
   // (kInert for a `true` residual, kProgression for `false` or a failed
   // compile, whose handle has a null `ts`).
   Result<Placement> PlaceOne(uint32_t idx, const ptl::AutomatonHandle& h);
-  // Drops every placement and the progression set, then places all
-  // instances.
+  // Drops every placement table (capacity kept) and the progression set,
+  // then places all instances from their checkpoint formulas.
   Status RebuildPlacements();
-  // Drops every placement table, so the next update re-places all
-  // instances. Capacity is kept.
-  void ResetPlacements();
   // Advances every cohort through `w`; *all_live = AND of per-slot liveness.
   Status CohortStepAll(const ptl::PropState& w, MonitorVerdict* verdict,
                        bool* all_live);

@@ -23,6 +23,7 @@ void PointBackend::BeginInstance(uint32_t idx, const ptl::PaShape* shape) {
   InstanceRt& inst = instances_[idx];
   assert(inst.shape == nullptr);
   inst.shape = shape;
+  inst.moved_epoch = fold_epoch_;
   inst.unit_begin = static_cast<uint32_t>(units_.size());
   for (uint32_t si = 0; si < shape->units.size(); ++si) {
     const ptl::PaUnit& pu = shape->units[si];
@@ -105,6 +106,7 @@ void PointBackend::OnFlip(ptl::PropId p, bool now_true) {
 void PointBackend::MarkDirty(uint32_t u) {
   if (units_[u].dirty_epoch == epoch_) return;
   units_[u].dirty_epoch = epoch_;
+  instances_[units_[u].inst].moved_epoch = fold_epoch_;
   dirty_.push_back(u);
 }
 
@@ -165,7 +167,7 @@ void PointBackend::Reset() {
   dirty_.clear();
   num_routed_ = 0;
   num_dead_ = 0;
-  // epoch_ keeps counting so stale dirty stamps can never collide.
+  // epoch_ and fold_epoch_ keep counting so stale stamps can never collide.
 }
 
 }  // namespace tic

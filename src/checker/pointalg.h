@@ -62,6 +62,17 @@ class PointBackend {
   /// shape cache survives.
   void Reset();
 
+  /// True when instance `idx` was registered, or a flip reached one of its
+  /// units, since the last NoteFold(). When false, every letter since the
+  /// fold repeats the last one before it on the instance's watched letters;
+  /// the fragment is X-free, hence stutter-invariant, so its formula at the
+  /// fold is still its formula now.
+  bool MovedSinceFold(uint32_t idx) const {
+    return instances_[idx].moved_epoch == fold_epoch_;
+  }
+  /// Starts a new fold period (Monitor::Compact).
+  void NoteFold() { ++fold_epoch_; }
+
   bool all_alive() const { return num_dead_ == 0; }
   size_t num_instances() const { return num_routed_; }
   size_t num_units() const { return units_.size(); }
@@ -99,6 +110,7 @@ class PointBackend {
     bool started = false;  // first StepInstanceOn done (kOnce gate)
     bool dead = false;
     uint32_t culprit = 0;
+    uint64_t moved_epoch = 0;  // fold_epoch_ when last registered or flipped
   };
 
   void StepUnit(uint32_t u, bool first);
@@ -111,6 +123,7 @@ class PointBackend {
   std::vector<InstanceRt> instances_;
   std::vector<uint32_t> dirty_;
   uint64_t epoch_ = 1;
+  uint64_t fold_epoch_ = 1;
   size_t num_routed_ = 0;
   size_t num_dead_ = 0;
   uint64_t flips_routed_ = 0;

@@ -55,7 +55,7 @@ enum class EventType : uint32_t {
                       // progression
   kCohortMinimize,    // a = collapsed sets, b = sets after, c = cohort index
   kEpochReset,        // Compact(): a = checkpoint time, b = instance count,
-                      // c = stored word runs (0: the fold clears the word)
+                      // c = instances rebased (the rest kept their formula)
   kAutomatonCompile,  // a = closure size, b = letter count, c = state sets
   kVerdictChange,     // a = time t, b = potentially-satisfied 0/1, c = instances
   kMemoSpill,         // a = new state id, b = memo size, c = letter signature

@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "checker/checkpoint.h"
 #include "checker/extension.h"
 #include "checker/monitor.h"
 #include "checker/trigger.h"
@@ -30,6 +31,16 @@ OracleResult Fail(std::string what, const FotlCase& c) {
   r.pass = false;
   r.detail = std::move(what) + "\nreproducer:\n" + SerializeCase(c);
   return r;
+}
+
+// Folds `m`, then restores a copy from its snapshot. The copy rebuilds its
+// placements from the formulas the fold kept or rebased, which the folded
+// monitor's own engines never read, so stepping it beside the monitor until
+// the next fold checks those formulas.
+Result<std::unique_ptr<checker::Monitor>> CompactAndRestore(checker::Monitor* m) {
+  TIC_RETURN_NOT_OK(m->Compact());
+  TIC_ASSIGN_OR_RETURN(std::string blob, checker::MonitorCheckpoint::Serialize(*m));
+  return checker::MonitorCheckpoint::Restore(blob);
 }
 
 }  // namespace
@@ -104,7 +115,8 @@ Result<OracleResult> BackendVerdictsAgree(const FotlCase& c) {
   return OracleResult{};
 }
 
-Result<OracleResult> CohortConfigsAgree(const FotlCase& c) {
+Result<OracleResult> CohortConfigsAgree(const FotlCase& c,
+                                        size_t compact_every) {
   // Three independent constructions of the same per-update verdict sequence:
   // the literal progression procedure, and the automaton backend (cohort
   // slots, point-algebra units and progression, as placed) with
@@ -127,19 +139,38 @@ Result<OracleResult> CohortConfigsAgree(const FotlCase& c) {
         auto m, checker::Monitor::Create(c.factory, c.sentence, {}, cfg.opts));
     monitors.push_back(std::move(m));
   }
+  // With compaction, each automaton monitor also steps a copy restored after
+  // its last fold (CompactAndRestore).
+  std::vector<std::unique_ptr<checker::Monitor>> restored(monitors.size());
   for (size_t t = 0; t < c.stream.size(); ++t) {
+    const bool compact_now =
+        compact_every > 0 && (t + 1) % compact_every == 0;
     TIC_ASSIGN_OR_RETURN(auto ref, monitors[0]->ApplyTransaction(c.stream[t]));
+    auto diverged = [&](const std::string& name,
+                        const checker::MonitorVerdict& v) {
+      return Fail(
+          std::string("cohort config divergence at t=") + std::to_string(t) +
+              ": progression (sat=" + std::to_string(ref.potentially_satisfied) +
+              ", dead=" + std::to_string(ref.permanently_violated) + ") vs " +
+              name + " (sat=" + std::to_string(v.potentially_satisfied) +
+              ", dead=" + std::to_string(v.permanently_violated) + ")",
+          c);
+    };
     for (size_t i = 1; i < monitors.size(); ++i) {
       TIC_ASSIGN_OR_RETURN(auto v, monitors[i]->ApplyTransaction(c.stream[t]));
       if (v.potentially_satisfied != ref.potentially_satisfied ||
           v.permanently_violated != ref.permanently_violated) {
-        return Fail(
-            std::string("cohort config divergence at t=") + std::to_string(t) +
-                ": progression (sat=" + std::to_string(ref.potentially_satisfied) +
-                ", dead=" + std::to_string(ref.permanently_violated) + ") vs " +
-                configs[i].name + " (sat=" + std::to_string(v.potentially_satisfied) +
-                ", dead=" + std::to_string(v.permanently_violated) + ")",
-            c);
+        return diverged(configs[i].name, v);
+      }
+      if (restored[i] != nullptr) {
+        TIC_ASSIGN_OR_RETURN(v, restored[i]->ApplyTransaction(c.stream[t]));
+        if (v.potentially_satisfied != ref.potentially_satisfied ||
+            v.permanently_violated != ref.permanently_violated) {
+          return diverged(std::string(configs[i].name) + " restored at the last fold", v);
+        }
+      }
+      if (compact_now) {
+        TIC_ASSIGN_OR_RETURN(restored[i], CompactAndRestore(monitors[i].get()));
       }
     }
   }
@@ -191,6 +222,9 @@ Result<OracleResult> RouterConfigsAgree(const FotlCase& c,
                     ", dead=" + std::to_string(dead) + ")",
                 c);
   };
+  // With compaction, each monitor also steps a copy restored after its last
+  // fold (CompactAndRestore).
+  std::vector<std::unique_ptr<checker::Monitor>> restored(monitors.size());
   size_t max_routed = 0;
   for (size_t t = 0; t < c.stream.size(); ++t) {
     const bool compact_now =
@@ -204,7 +238,19 @@ Result<OracleResult> RouterConfigsAgree(const FotlCase& c,
                         v.permanently_violated);
       }
       if (i == 1) max_routed = std::max(max_routed, v.num_pointalg_instances);
-      if (compact_now) TIC_RETURN_NOT_OK(monitors[i]->Compact());
+      if (restored[i] != nullptr) {
+        TIC_ASSIGN_OR_RETURN(v, restored[i]->ApplyTransaction(c.stream[t]));
+        if (v.potentially_satisfied != ref.potentially_satisfied ||
+            v.permanently_violated != ref.permanently_violated) {
+          return diverged(
+              t, ref,
+              (std::string(configs[i].name) + " restored at the last fold").c_str(),
+              v.potentially_satisfied, v.permanently_violated);
+        }
+      }
+      if (compact_now) {
+        TIC_ASSIGN_OR_RETURN(restored[i], CompactAndRestore(monitors[i].get()));
+      }
     }
     if (past != nullptr) {
       TIC_ASSIGN_OR_RETURN(past::PastVerdict pv,

@@ -45,8 +45,14 @@ Result<OracleResult> BackendVerdictsAgree(const FotlCase& c);
 /// components its placement rule sends there, progression for the rest —
 /// with offline minimization forced (interval 1) and disabled
 /// (interval 0) must produce exactly the per-update verdicts of the literal
-/// progression baseline, on every transaction of the case.
-Result<OracleResult> CohortConfigsAgree(const FotlCase& c);
+/// progression baseline, on every transaction of the case. With
+/// `compact_every` nonzero both automaton monitors run Compact() after each
+/// `compact_every`-th update (the reference never does), so the kept engine
+/// state, and the fold states MinimizeNow remaps, carry across folds; a copy
+/// restored from each monitor's snapshot after every fold must agree too
+/// until the next fold, which checks the formulas the fold kept or rebased.
+Result<OracleResult> CohortConfigsAgree(const FotlCase& c,
+                                        size_t compact_every = 0);
 
 /// \brief Minimizer metamorphic oracle on one compiled PTL formula: stepping
 /// a TransitionSystem through `steps` random letters must report identical
@@ -83,7 +89,8 @@ struct RouterDiffOptions {
   /// silently testing nothing when a generator drifts out of the fragment).
   size_t min_routed = 0;
   /// Every monitor but the progression reference runs Compact() after each
-  /// `compact_every`-th update (0: never).
+  /// `compact_every`-th update (0: never), and a copy restored from its
+  /// snapshot after each fold must agree with the reference until the next.
   size_t compact_every = 0;
   /// Also runs a MonitorMode::kLazy monitor (compacted like the others) and
   /// fails unless its verdict equals the reference's at every update: the

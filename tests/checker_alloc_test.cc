@@ -136,6 +136,42 @@ TEST_F(AllocCountTest, SteadyStateCohortGatherAllocatesNothing) {
   EXPECT_EQ(window.deallocations(), 0u);
 }
 
+// Compact() keeps every engine's state, so the update right after a fold is
+// as warm as the one before it: the same 32-slot cohort, folded after
+// warm-up, must step its first 20 post-fold updates — the first one
+// included — without touching the heap. (A fold that dropped the placements
+// would rebuild the cohort on that first update.)
+TEST_F(AllocCountTest, FirstUpdateAfterCompactAllocatesNothing) {
+  ASSERT_TRUE(testing::AllocCountingAvailable());
+  auto m = *Monitor::Create(fac_, submit_once_);
+  ASSERT_EQ(m->options().backend, MonitorBackend::kAutomaton);
+
+  std::vector<Value> universe;
+  for (Value v = 1; v <= 32; ++v) universe.push_back(v);
+  ASSERT_TRUE(m->ApplyTransaction(Txn({}, universe)).ok());  // 32 instances
+  ASSERT_TRUE(m->ApplyTransaction(Txn({7})).ok());
+  Transaction retract;
+  retract.push_back(UpdateOp::Delete(sub_, {7}));
+  ASSERT_TRUE(m->ApplyTransaction(retract).ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(m->ApplyTransaction(Transaction{}).ok());
+  }
+  ASSERT_EQ(m->last_verdict().num_cohort_instances, 32u);
+  ASSERT_TRUE(m->Compact().ok());
+
+  testing::ResetAllocCounts();
+  testing::AllocWindow window;
+  for (int i = 0; i < 20; ++i) {
+    auto v = m->ApplyTransaction(Transaction{});
+    ASSERT_TRUE(v.ok());
+    ASSERT_TRUE(v->potentially_satisfied);
+    ASSERT_EQ(v->num_cohort_instances, 32u);
+  }
+  EXPECT_EQ(window.allocations(), 0u)
+      << "the first updates after Compact() must not touch the heap";
+  EXPECT_EQ(window.deallocations(), 0u);
+}
+
 // The flight recorder rides the hot path (TIC_RECORD in ApplyTransaction and
 // the letter-flip loop), so the zero-allocation bound must hold WITH the
 // recorder demonstrably recording: rings are pre-created by Monitor::Create

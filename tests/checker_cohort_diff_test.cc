@@ -8,7 +8,7 @@
 // forced every discovery and disabled — and fails on any sat/violated
 // divergence.
 //
-// Three families:
+// Four families:
 //   A. Random safe sentences (1 and 2 variables) over churn streams with a
 //      fresh element arriving mid-stream: 2-variable cases ground to
 //      letter-SHARING instance sets, so the union-find places their
@@ -22,6 +22,10 @@
 //   C. Deep matrices (depth up to 5) on short streams: larger automata, so
 //      forced per-update minimization actually collapses states instead of
 //      running on trivial two-state machines.
+//   D. Families A and C's distributions with Compact() every 1-3 updates on
+//      both automaton configurations: engines keep their state across each
+//      fold, slots back in their fold state keep their formulas, and
+//      MinimizeNow remaps the fold states with the slot states.
 //
 // Failure messages carry the full reproducer; re-run one case with
 // TIC_REPLAY_SEED=<c>.
@@ -41,8 +45,9 @@ namespace {
 namespace tt = tic::testing;
 
 void ExpectCohortConfigsAgree(const tt::FotlCase& kase,
-                              const std::string& label) {
-  auto r = tt::CohortConfigsAgree(kase);
+                              const std::string& label,
+                              size_t compact_every = 0) {
+  auto r = tt::CohortConfigsAgree(kase, compact_every);
   ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString()
                       << "\nreproducer:\n" << tt::SerializeCase(kase);
   ASSERT_TRUE(r->pass) << label << ": " << r->detail;
@@ -101,6 +106,29 @@ TEST(CohortDiffTest, DeepMatricesAgreeUnderForcedMinimization) {
     opts.max_stream = 5;
     tt::FotlCase kase = tt::GenerateSafetyCase(&ent, opts);
     ExpectCohortConfigsAgree(kase, "caseC#" + std::to_string(c));
+  }
+}
+
+TEST(CohortDiffTest, CompactEveryKUnderForcedMinimizationAgrees) {
+  // Family D: even cases draw from family A's distribution (a fresh element
+  // mid-stream, so merges after a fold rebuild from kept and rebased
+  // formulas), odd cases from deep matrices on family A's stream lengths,
+  // where forced minimization collapses states between folds.
+  constexpr int kCases = 150;
+  auto replay = tt::ReplaySeedFromEnv();
+  for (int c = 0; c < kCases; ++c) {
+    if (replay && *replay != static_cast<uint64_t>(c)) continue;
+    tt::Entropy ent(0x3c6ef372u + static_cast<uint32_t>(c));
+    tt::SafetyCaseOptions opts;
+    if (c % 2 == 1) {
+      opts.min_depth = 4;
+      opts.max_depth = 5;
+    }
+    tt::FotlCase kase = tt::GenerateSafetyCase(&ent, opts);
+    const size_t k = 1 + static_cast<size_t>(c) % 3;
+    ExpectCohortConfigsAgree(
+        kase, "caseD#" + std::to_string(c) + " compact_every=" + std::to_string(k),
+        k);
   }
 }
 

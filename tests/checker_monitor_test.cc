@@ -11,6 +11,8 @@
 #include "checker/extension.h"
 #include "checker/monitor.h"
 #include "checker/trigger.h"
+#include "common/telemetry/recorder.h"
+#include "common/telemetry/registry.h"
 #include "fotl/parser.h"
 
 namespace tic {
@@ -446,6 +448,196 @@ TEST_F(MonitorTest, CohortMergedOntoProgressionThenCompactedMatchesReferences) {
   auto batch = CheckPotentialSatisfaction(*fac_, joint_, history);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_FALSE(batch->potentially_satisfied);
+}
+
+#ifdef TIC_TELEMETRY_ENABLED
+// The third payload word of the last `epoch_reset` event: the instances that
+// Compact() rebased.
+uint64_t LastRebasedCount() {
+  uint64_t rebased = ~uint64_t{0};
+  for (const telemetry::RecordedEvent& e : telemetry::SnapshotRecorder()) {
+    if (e.type == telemetry::EventType::kEpochReset) rebased = e.c;
+  }
+  return rebased;
+}
+
+uint64_t CohortRebuilds() {
+  for (const auto& [name, value] : telemetry::CollectMetrics().counters) {
+    if (name == "monitor/cohort_rebuilds") return value;
+  }
+  return 0;
+}
+#endif
+
+TEST_F(MonitorTest, CompactKeepsPlacementsAndRebasesOnlyMovedSlots) {
+  // A session-shaped constraint: every element is one letter-disjoint
+  // cohort slot, and an open session (Sub) must stay open or be filled at
+  // the next state. After a first fold, two of eight elements flip; the
+  // second fold rebases exactly those two and keeps every engine, so the
+  // next update steps on with no placement rebuild. Every verdict equals the
+  // progression backend's, and the last one the batch check.
+#ifdef TIC_TELEMETRY_ENABLED
+  telemetry::SetEnabled(true);
+  telemetry::SetRecorderEnabled(true);
+  telemetry::ResetRecorder();
+#endif
+  auto session = *fotl::Parse(fac_.get(),
+                              "forall x . G (Sub(x) -> X (Sub(x) | Fill(x)))");
+  CheckOptions progression;
+  progression.backend = MonitorBackend::kProgression;
+  auto automaton = *Monitor::Create(fac_, session);
+  auto reference = *Monitor::Create(fac_, session, {}, progression);
+  History history = *History::Create(vocab_);
+  std::vector<Value> all = {1, 2, 3, 4, 5, 6, 7, 8};
+  Transaction flip;  // elements 3 and 5: session closed by a fill
+  for (Value v : {3, 5}) {
+    flip.push_back(UpdateOp::Delete(sub_, {v}));
+    flip.push_back(UpdateOp::Insert(fill_, {v}));
+  }
+  const std::vector<Transaction> stream = {
+      Txn(all, {}), Txn({}, {}),    // fold after t=1
+      flip,         Txn({}, {}),    // fold after t=3
+      Txn({}, {}),  Txn({}, {}, {1}),  // t=5: session 1 dropped unfilled
+  };
+  MonitorVerdict before_fold;
+  uint64_t rebuilds_at_fold = 0;
+  for (size_t t = 0; t < stream.size(); ++t) {
+    auto va = automaton->ApplyTransaction(stream[t]);
+    auto vr = reference->ApplyTransaction(stream[t]);
+    ASSERT_TRUE(va.ok()) << va.status().ToString();
+    ASSERT_TRUE(vr.ok()) << vr.status().ToString();
+    ASSERT_TRUE(ApplyTransaction(&history, stream[t]).ok());
+    EXPECT_EQ(va->potentially_satisfied, vr->potentially_satisfied) << "t=" << t;
+    EXPECT_EQ(va->permanently_violated, t + 1 == stream.size()) << "t=" << t;
+    if (t == 2 || t == 4) {
+      // The first update after a fold: same cohorts, same slots, and no
+      // placement rebuild.
+      EXPECT_EQ(va->num_cohorts, before_fold.num_cohorts) << "t=" << t;
+      EXPECT_EQ(va->num_cohort_instances, before_fold.num_cohort_instances)
+          << "t=" << t;
+      EXPECT_EQ(va->num_cohort_instances, 8u) << "t=" << t;
+#ifdef TIC_TELEMETRY_ENABLED
+      EXPECT_EQ(CohortRebuilds(), rebuilds_at_fold) << "t=" << t;
+#endif
+    }
+    if (t == 1 || t == 3) {
+      before_fold = *va;
+#ifdef TIC_TELEMETRY_ENABLED
+      rebuilds_at_fold = CohortRebuilds();
+#endif
+      ASSERT_TRUE(automaton->Compact().ok());
+#ifdef TIC_TELEMETRY_ENABLED
+      // `rebased=`: the instances that moved since the last fold. At the
+      // second fold, that is the two flipped elements.
+      if (t == 3) {
+        EXPECT_EQ(LastRebasedCount(), 2u);
+      }
+#endif
+      ASSERT_TRUE(reference->Compact().ok());
+    }
+  }
+  (void)rebuilds_at_fold;
+  auto batch = CheckPotentialSatisfaction(*fac_, session, history);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->potentially_satisfied,
+            automaton->last_verdict().potentially_satisfied);
+  EXPECT_FALSE(batch->potentially_satisfied);
+#ifdef TIC_TELEMETRY_ENABLED
+  telemetry::SetEnabled(false);
+#endif
+}
+
+TEST_F(MonitorTest, MergeAfterCompactRebuildsFromRebasedFormulas) {
+  // As CohortMergedOntoProgressionThenCompactedMatchesReferences, but the
+  // merging element arrives after Compact(): the placement rebuild starts
+  // from element 1's rebased formula and element 2's z-pattern residuals,
+  // with the word since the fold. A second fold then keeps the progression
+  // set. Every verdict equals the progression backend's, and the last one
+  // the batch check.
+  CheckOptions progression;
+  progression.backend = MonitorBackend::kProgression;
+  auto automaton = *Monitor::Create(fac_, joint_);
+  auto reference = *Monitor::Create(fac_, joint_, {}, progression);
+  History history = *History::Create(vocab_);
+  const std::vector<Transaction> stream = {
+      Txn({}, {1}),       // element 1: one cohort slot
+      Txn({1}, {}),       // Sub(1) & Fill(1): G !Sub(1) from the next state
+      Txn({}, {}, {1}),   // fold after this update
+      Txn({}, {2}),       // element 2 merges the component: a rebuild
+      Txn({2}, {}),       // Sub(2) & Fill(y) arms G !Sub(2)
+      Txn({}, {}, {2}),   // fold after this update
+      Txn({}, {}),
+      Txn({2}, {}),       // resubmission: violated
+  };
+  for (size_t t = 0; t < stream.size(); ++t) {
+    auto va = automaton->ApplyTransaction(stream[t]);
+    auto vr = reference->ApplyTransaction(stream[t]);
+    ASSERT_TRUE(va.ok()) << va.status().ToString();
+    ASSERT_TRUE(vr.ok()) << vr.status().ToString();
+    ASSERT_TRUE(ApplyTransaction(&history, stream[t]).ok());
+    EXPECT_EQ(va->potentially_satisfied, vr->potentially_satisfied) << "t=" << t;
+    EXPECT_EQ(va->permanently_violated, vr->permanently_violated) << "t=" << t;
+    EXPECT_EQ(va->permanently_violated, t + 1 == stream.size()) << "t=" << t;
+    if (t == 1) {
+      EXPECT_EQ(va->num_cohort_instances, 1u);
+    }
+    if (t == 3) {
+      EXPECT_EQ(va->num_cohort_instances, 0u);
+      EXPECT_GT(va->num_residual_classes, 0u);
+    }
+    if (t == 2 || t == 5) {
+      ASSERT_TRUE(automaton->Compact().ok());
+      ASSERT_TRUE(reference->Compact().ok());
+    }
+  }
+  auto batch = CheckPotentialSatisfaction(*fac_, joint_, history);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_FALSE(batch->potentially_satisfied);
+}
+
+TEST_F(MonitorTest, CompactOverTheEnumerationCapChangesNothing) {
+  // Five variables over two relevant elements: (2 + 10)^5 = 248 832 pattern
+  // assignments exceed kMaxCompactEnumeration (200 000), over 7^5 = 16 807
+  // instances. Compact() must fail closed: ResourceExhausted, the snapshot
+  // bytes unchanged, and the next verdicts those of an uncompacted twin.
+  auto vocab = std::make_shared<Vocabulary>();
+  PredicateId p = *vocab->AddPredicate("P", 5);
+  auto fac = std::make_shared<fotl::FormulaFactory>(vocab);
+  auto phi = *fotl::Parse(fac.get(),
+                          "forall a b c d e . G (P(a, b, c, d, e) -> "
+                          "X G !P(a, b, c, d, e))");
+  auto subject = *Monitor::Create(fac, phi);
+  auto twin = *Monitor::Create(fac, phi);
+  auto tuple = [&](bool insert, std::vector<Value> codes) {
+    return Transaction{insert ? UpdateOp::Insert(p, std::move(codes))
+                              : UpdateOp::Delete(p, std::move(codes))};
+  };
+  const std::vector<Transaction> warm = {tuple(true, {1, 2, 1, 2, 1}),
+                                         tuple(false, {1, 2, 1, 2, 1})};
+  for (const Transaction& txn : warm) {
+    ASSERT_TRUE(subject->ApplyTransaction(txn).ok());
+    ASSERT_TRUE(twin->ApplyTransaction(txn).ok());
+  }
+  auto before = MonitorCheckpoint::Serialize(*subject);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  Status s = subject->Compact();
+  EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
+  EXPECT_EQ(subject->time_base(), 0u);
+  auto after = MonitorCheckpoint::Serialize(*subject);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(*before == *after) << "a failed Compact() changed the snapshot";
+
+  const std::vector<Transaction> tail = {
+      {}, tuple(true, {2, 1, 1, 1, 1}), tuple(false, {2, 1, 1, 1, 1}),
+      tuple(true, {1, 2, 1, 2, 1})};  // resubmission: violated
+  for (size_t t = 0; t < tail.size(); ++t) {
+    auto vs = subject->ApplyTransaction(tail[t]);
+    auto vt = twin->ApplyTransaction(tail[t]);
+    ASSERT_TRUE(vs.ok()) << vs.status().ToString();
+    ASSERT_TRUE(vt.ok()) << vt.status().ToString();
+    EXPECT_EQ(vs->potentially_satisfied, vt->potentially_satisfied) << "t=" << t;
+    EXPECT_EQ(vs->permanently_violated, t + 1 == tail.size()) << "t=" << t;
+  }
 }
 
 TEST_F(MonitorTest, TableauStatsPerUpdateAndCumulative) {

@@ -8,7 +8,7 @@
 // closed and always-past, through the past evaluator built directly, and
 // fails on any sat/violated divergence.
 //
-// Four families:
+// Five families:
 //   A. Random safe sentences (1 and 2 variables) over churn streams with a
 //      fresh element arriving mid-stream: most matrices fall OUTSIDE the
 //      point-algebra fragment; the ones that fall inside exercise the
@@ -29,6 +29,10 @@
 //      arrive mid-stream and every monitor compacts every 5 updates; the
 //      lazy (Lipeck–Saake) verdict must equal the eager one at every update,
 //      which the release fragment guarantees.
+//   E. Family B's distribution with every monitor compacting every 1-3
+//      updates: point-algebra units survive each fold, an instance no flip
+//      reached keeps its formula, and the oracle's copy restored after each
+//      fold rebuilds from the formulas the fold kept or rebased.
 //
 // Failure messages carry the full reproducer; re-run one case with
 // TIC_REPLAY_SEED=<c>.
@@ -107,6 +111,22 @@ TEST(RouterDiffTest, QtcnCasesRouteAndAgree) {
     tt::RouterDiffOptions options;
     options.min_routed = 1;
     ExpectRouterConfigsAgree(kase.fotl, "caseB#" + std::to_string(c), options);
+  }
+}
+
+TEST(RouterDiffTest, QtcnCasesAgreeUnderCompaction) {
+  // Family E: 150 QTCN compilations from family B's generator (own seeds),
+  // compacted every 1-3 updates, with family B's coverage guard.
+  constexpr int kCases = 150;
+  auto replay = tt::ReplaySeedFromEnv();
+  for (int c = 0; c < kCases; ++c) {
+    if (replay && *replay != static_cast<uint64_t>(c)) continue;
+    tt::Entropy ent(0x165667b1u + static_cast<uint32_t>(c));
+    tt::QtcnCase kase = tt::GenerateQtcnCase(&ent);
+    tt::RouterDiffOptions options;
+    options.min_routed = 1;
+    options.compact_every = 1 + static_cast<size_t>(c) % 3;
+    ExpectRouterConfigsAgree(kase.fotl, "caseE#" + std::to_string(c), options);
   }
 }
 

@@ -180,7 +180,7 @@ std::string DescribeEvent(const RecordedEvent& e) {
       break;
     case EventType::kEpochReset:
       std::snprintf(buf, sizeof(buf), "epoch_reset t=%" PRIu64
-                    " instances=%" PRIu64 " word_runs=%" PRIu64, e.a, e.b, e.c);
+                    " instances=%" PRIu64 " rebased=%" PRIu64, e.a, e.b, e.c);
       break;
     case EventType::kAutomatonCompile:
       std::snprintf(buf, sizeof(buf), "automaton_compile closure=%" PRIu64
